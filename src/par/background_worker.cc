@@ -35,9 +35,9 @@ Status BackgroundWorker::TakeErrorLocked() {
                        "': task failed: " + std::exchange(task_error_, {}));
 }
 
-Status BackgroundWorker::Submit(std::function<void()> task) {
+void BackgroundWorker::Submit(std::function<void()> task) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (stopping_) return TakeErrorLocked();
+  if (stopping_) return;
   if (!started_) {
     started_ = true;
     worker_ = std::thread([this] { Loop(); });
@@ -45,7 +45,6 @@ Status BackgroundWorker::Submit(std::function<void()> task) {
   queue_.push_back(std::move(task));
   ++submitted_;
   work_cv_.notify_one();
-  return TakeErrorLocked();
 }
 
 Status BackgroundWorker::Drain() {

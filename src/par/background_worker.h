@@ -33,10 +33,11 @@ namespace largeea::par {
 /// Error contract: a task that throws does NOT terminate the process
 /// (the historical behaviour — an escaped exception on a std::thread is
 /// std::terminate). The first exception is captured on the worker thread
-/// and surfaced as an INTERNAL Status from the next Submit()/Drain()
-/// call; later tasks keep running, because background work is
-/// best-effort cache warming whose loss must degrade, not kill,
-/// the run (DESIGN.md §8).
+/// and surfaced as an INTERNAL Status from the next Drain() call — and
+/// only from Drain(), so what a caller sees never depends on how far the
+/// worker has got. Later tasks keep running, because background work is
+/// best-effort cache warming whose loss must degrade, not kill, the run
+/// (DESIGN.md §8).
 class BackgroundWorker {
  public:
   /// `thread_name` labels the worker in Chrome trace exports.
@@ -51,10 +52,9 @@ class BackgroundWorker {
 
   /// Enqueues `task` and returns immediately. The worker thread is
   /// started lazily on the first submission, so an idle worker (e.g.
-  /// prefetch disabled) costs nothing. Returns (and clears) the first
-  /// captured failure of a *previous* task; the new task is enqueued
-  /// either way.
-  Status Submit(std::function<void()> task);
+  /// prefetch disabled) costs nothing. Never reports task failures;
+  /// Drain() does.
+  void Submit(std::function<void()> task);
 
   /// Blocks until every task submitted so far has finished. Returns
   /// (and clears) the first captured task failure, if any.

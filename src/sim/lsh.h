@@ -8,7 +8,7 @@
 #define LARGEEA_SIM_LSH_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/la/matrix.h"
@@ -29,8 +29,8 @@ struct LshOptions {
 /// either in one shot from a full matrix, or incrementally (for the
 /// streaming layer, which only ever holds one tile of the data at a
 /// time). Both build paths produce identical indexes for identical
-/// data: the hyperplanes depend only on (seed, dim), and buckets fill
-/// in ascending row order either way.
+/// data: the hyperplanes depend only on (seed, dim), and FinishBuild()
+/// seals the same (row, key) pairs into the same flat layout either way.
 class LshIndex {
  public:
   /// Builds the index over `data` (rows are points). The matrix is not
@@ -38,37 +38,65 @@ class LshIndex {
   LshIndex(const Matrix& data, const LshOptions& options);
 
   /// Incremental build: creates an empty index over `dim`-dimensional
-  /// points. Call Insert() with strictly ascending row ids, then
+  /// points. Call Insert() for rows 0, 1, 2, ... in order, then
   /// FinishBuild() before the first Query().
   LshIndex(int32_t dim, const LshOptions& options);
 
-  /// Adds row `row` with vector `vec` (length dim()). Rows must arrive
-  /// in ascending order — bucket member lists are kept sorted by
-  /// construction, which Query()'s dedup relies on.
+  /// Adds row `row` with vector `vec` (length dim()). `row` must equal
+  /// num_rows(), and FinishBuild() must not have run yet.
   void Insert(int32_t row, const float* vec);
 
-  /// Seals an incrementally-built index: records the bucket-occupancy
-  /// histogram. Idempotent; the one-shot constructor calls it.
+  /// Seals the index into one flat layout per table (sorted unique
+  /// keys, CSR offsets, members ascending within each bucket) and
+  /// records the bucket-occupancy histogram. Idempotent; the one-shot
+  /// constructor calls it.
   void FinishBuild();
 
-  /// Appends the ids of all rows colliding with `vec` (dimension must
-  /// match) in at least one table. Output may contain duplicates removed —
-  /// candidates are de-duplicated before return.
+  /// Replaces `candidates` with the ids of all rows colliding with `vec`
+  /// (dimension must match) in at least one probed bucket, sorted
+  /// ascending and unique. Requires FinishBuild().
   void Query(const float* vec, std::vector<int32_t>& candidates) const;
 
+  /// Block form of Query() for the batch kernels: ORs `bit` into
+  /// `mask[r]` for every candidate row `r` of `vec`. `mask` holds one
+  /// word per indexed row (size num_rows()), so up to 32 queries share
+  /// one mask, and an ascending sweep over it reads each query's
+  /// candidate set in the order Query() returns it. Requires
+  /// FinishBuild().
+  void MarkCandidates(const float* vec, uint32_t bit,
+                      std::span<uint32_t> mask) const;
+
   int32_t dim() const { return dim_; }
+  /// Rows inserted so far.
+  int32_t num_rows() const { return num_rows_; }
 
  private:
+  /// One sealed hash table: bucket `i` has key `keys[i]` and members
+  /// `members[offsets[i] .. offsets[i + 1])`, ascending.
+  struct Table {
+    std::vector<uint32_t> keys;
+    std::vector<int32_t> offsets;
+    std::vector<int32_t> members;
+  };
+
   uint32_t BucketKey(const float* vec, int32_t table) const;
+
+  /// Calls `fn(row)` for every member of every probed bucket of `vec`;
+  /// a row colliding in several buckets is visited once per bucket.
+  template <typename Fn>
+  void ForEachProbedMember(const float* vec, Fn&& fn) const;
 
   int32_t dim_ = 0;
   LshOptions options_;
-  int32_t last_inserted_row_ = -1;
+  int32_t num_rows_ = 0;
+  bool sealed_ = false;
   /// Hyperplane normals: one matrix of shape
   /// (num_tables * bits_per_table) x dim, row-major by (table, bit).
   Matrix planes_;
-  /// Per table, bucket key -> member row ids.
-  std::vector<std::unordered_map<uint32_t, std::vector<int32_t>>> tables_;
+  /// Build staging until FinishBuild(): every inserted row's keys,
+  /// row-major as (row, table).
+  std::vector<uint32_t> staged_keys_;
+  std::vector<Table> tables_;
 };
 
 }  // namespace largeea

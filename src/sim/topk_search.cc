@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -100,15 +102,53 @@ SparseSimMatrix ExactTopK(const Matrix& source, const Matrix& target,
   return out;
 }
 
-void LshTopKInto(const MatrixRowRange& source,
-                 std::span<const EntityId> row_ids, const Matrix& target,
-                 std::span<const EntityId> col_ids, const LshIndex& index,
-                 const TopKOptions& options, SparseSimMatrix& out) {
-  LARGEEA_CHECK_EQ(source.cols(), target.cols());
+namespace {
+
+// Target-row accessors for the block-swept LSH kernel below. Each
+// ParallelFor chunk works on its own copy, so the tiled accessor's pin
+// is chunk-private.
+struct ResidentRows {
+  const Matrix* target;
+  const float* Row(int32_t j) const { return target->Row(j); }
+};
+
+struct TiledRows {
+  const stream::TileMatrix* target;
+  std::shared_ptr<const Matrix> tile = nullptr;
+  int64_t tile_idx = -1;
+
+  // The sweep visits rows ascending, so each needed tile is pinned once
+  // per block.
+  const float* Row(int32_t j) {
+    const int64_t t = j / target->tile_rows();
+    if (t != tile_idx) {
+      tile = target->Tile(t);
+      tile_idx = t;
+    }
+    return tile->Row(j - t * target->tile_rows());
+  }
+};
+
+// Source rows per block: one bit each in a uint32_t mask word.
+constexpr int32_t kBlockRows = 32;
+
+// Shared body of LshTopKInto and LshTopKStreamedInto. Each block of up
+// to 32 source rows marks its candidates in a per-chunk mask (one word
+// per target row, bit b = block row b), then one ascending sweep scores
+// every marked (row, target) pair and clears the words it read. Each
+// target row is thus loaded once per block instead of once per
+// (row, candidate), and every row still sees exactly Query()'s
+// candidate set, offered in ascending target id — so the kept top-k and
+// the output bytes equal the per-row scan.
+template <typename Rows>
+void LshTopKBlocked(const MatrixRowRange& source,
+                    std::span<const EntityId> row_ids, Rows target_rows,
+                    std::span<const EntityId> col_ids, const LshIndex& index,
+                    const TopKOptions& options, SparseSimMatrix& out) {
   LARGEEA_CHECK_EQ(source.cols(), index.dim());
   LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
-  LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
   const int64_t dim = source.cols();
+  const int32_t num_targets = index.num_rows();
   const simd::KernelTable& kt = simd::Kernels();
 
   // LSH candidate counts are data-dependent: the fixed source-read and
@@ -121,28 +161,49 @@ void LshTopKInto(const MatrixRowRange& source,
   // Direct scatter, same argument as ExactTopKInto: disjoint source
   // rows → disjoint `out` rows. The data-dependent candidate count is
   // the only cross-chunk aggregate left — one relaxed add per chunk.
+  // Chunks are whole blocks where possible; chunking cannot change the
+  // output, only how many full blocks there are.
   std::atomic<int64_t> candidates_total{0};
   const int64_t row_grain =
-      tune::TuneTable::Get().TopKRowGrain(source.rows());
+      (tune::TuneTable::Get().TopKRowGrain(source.rows()) + kBlockRows - 1) /
+      kBlockRows * kBlockRows;
   par::ParallelFor(
       0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
-        TopKHeap heap(options.k);
+        Rows targets = target_rows;
+        // Chunk-private mask: 4 bytes per target row. Every sweep
+        // zeroes what it reads, so each block starts from a clear mask.
+        std::vector<uint32_t> mask(num_targets, 0);
+        std::vector<TopKHeap> heaps(kBlockRows, TopKHeap(options.k));
         std::vector<std::pair<float, int32_t>> drained;
-        std::vector<int32_t> candidates;
+        const float* src[kBlockRows] = {};
         int64_t candidates_scanned = 0;
-        for (int64_t i = rows.begin; i < rows.end; ++i) {
-          LARGEEA_TRACE_HOT_SPAN("topk/lsh_row");
-          heap.Clear();
-          const float* src = source.Row(i);
-          index.Query(src, candidates);
-          candidates_scanned += static_cast<int64_t>(candidates.size());
-          for (const int32_t j : candidates) {
-            heap.Offer(
-                j, ScorePair(kt, src, target.Row(j), dim, options.metric));
+        for (int64_t begin = rows.begin; begin < rows.end;
+             begin += kBlockRows) {
+          LARGEEA_TRACE_HOT_SPAN("topk/lsh_block");
+          const int32_t n =
+              static_cast<int32_t>(std::min<int64_t>(kBlockRows,
+                                                     rows.end - begin));
+          for (int32_t b = 0; b < n; ++b) {
+            src[b] = source.Row(begin + b);
+            index.MarkCandidates(src[b], uint32_t{1} << b, mask);
           }
-          heap.Drain(drained);
-          for (const auto& [score, j] : drained) {
-            out.Accumulate(row_ids[i], col_ids[j], score);
+          for (int32_t j = 0; j < num_targets; ++j) {
+            uint32_t marked = mask[j];
+            if (marked == 0) continue;
+            mask[j] = 0;
+            candidates_scanned += std::popcount(marked);
+            const float* tgt = targets.Row(j);
+            for (; marked != 0; marked &= marked - 1) {
+              const int b = std::countr_zero(marked);
+              heaps[b].Offer(j, ScorePair(kt, src[b], tgt, dim,
+                                          options.metric));
+            }
+          }
+          for (int32_t b = 0; b < n; ++b) {
+            heaps[b].Drain(drained);  // leaves the heap empty
+            for (const auto& [score, j] : drained) {
+              out.Accumulate(row_ids[begin + b], col_ids[j], score);
+            }
           }
         }
         candidates_total.fetch_add(candidates_scanned,
@@ -155,6 +216,19 @@ void LshTopKInto(const MatrixRowRange& source,
   auto& registry = obs::MetricsRegistry::Get();
   registry.GetCounter("topk.lsh.rows").Add(source.rows());
   registry.GetCounter("topk.lsh.candidates_scanned").Add(candidates_scanned);
+}
+
+}  // namespace
+
+void LshTopKInto(const MatrixRowRange& source,
+                 std::span<const EntityId> row_ids, const Matrix& target,
+                 std::span<const EntityId> col_ids, const LshIndex& index,
+                 const TopKOptions& options, SparseSimMatrix& out) {
+  LARGEEA_CHECK_EQ(source.cols(), target.cols());
+  LARGEEA_CHECK_EQ(target.rows(), index.num_rows());
+  LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
+  LshTopKBlocked(source, row_ids, ResidentRows{&target}, col_ids, index,
+                 options, out);
 }
 
 void ExactTopKStreamedInto(const MatrixRowRange& source,
@@ -183,58 +257,11 @@ void LshTopKStreamedInto(const MatrixRowRange& source,
                          SparseSimMatrix& out) {
   LARGEEA_CHECK(target.complete());
   LARGEEA_CHECK_EQ(source.cols(), target.cols());
-  LARGEEA_CHECK_EQ(source.cols(), index.dim());
-  LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
-  const int64_t dim = source.cols();
-  const int64_t tile_rows = target.tile_rows();
-  const simd::KernelTable& kt = simd::Kernels();
-
-  obs::ProfileScope prof("sim.topk.lsh");
-  prof.AddBytes(4 * source.rows() * dim, source.rows() * options.k * 8);
-
-  std::atomic<int64_t> candidates_total{0};
-  const int64_t row_grain =
-      tune::TuneTable::Get().TopKRowGrain(source.rows());
-  par::ParallelFor(
-      0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
-        TopKHeap heap(options.k);
-        std::vector<std::pair<float, int32_t>> drained;
-        std::vector<int32_t> candidates;
-        int64_t candidates_scanned = 0;
-        // Pin of the tile the current candidate run lives in. Candidates
-        // are sorted, so each row pins each needed tile exactly once.
-        std::shared_ptr<const Matrix> tile;
-        int64_t tile_idx = -1;
-        for (int64_t i = rows.begin; i < rows.end; ++i) {
-          LARGEEA_TRACE_HOT_SPAN("topk/lsh_row");
-          heap.Clear();
-          const float* src = source.Row(i);
-          index.Query(src, candidates);
-          candidates_scanned += static_cast<int64_t>(candidates.size());
-          for (const int32_t j : candidates) {
-            const int64_t t = j / tile_rows;
-            if (t != tile_idx) {
-              tile = target.Tile(t);
-              tile_idx = t;
-            }
-            heap.Offer(j, ScorePair(kt, src, tile->Row(j - t * tile_rows),
-                                    dim, options.metric));
-          }
-          heap.Drain(drained);
-          for (const auto& [score, j] : drained) {
-            out.Accumulate(row_ids[i], j, score);
-          }
-        }
-        candidates_total.fetch_add(candidates_scanned,
-                                   std::memory_order_relaxed);
-      });
-  const int64_t candidates_scanned =
-      candidates_total.load(std::memory_order_relaxed);
-  prof.AddBytes(4 * candidates_scanned * dim, 0);
-  prof.AddFlops(2 * candidates_scanned * dim);
-  auto& registry = obs::MetricsRegistry::Get();
-  registry.GetCounter("topk.lsh.rows").Add(source.rows());
-  registry.GetCounter("topk.lsh.candidates_scanned").Add(candidates_scanned);
+  LARGEEA_CHECK_EQ(target.rows(), index.num_rows());
+  std::vector<EntityId> col_ids(target.rows());
+  std::iota(col_ids.begin(), col_ids.end(), 0);
+  LshTopKBlocked(source, row_ids, TiledRows{&target}, col_ids, index,
+                 options, out);
 }
 
 }  // namespace largeea

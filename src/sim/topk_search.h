@@ -61,7 +61,10 @@ class TileMatrix;
 /// Approximate variant: candidates come from `index` (built over `target`),
 /// then are scored exactly with `options.metric`. Same parallel scan and
 /// deterministic tie-breaking as ExactTopKInto; `target` stays a full
-/// Matrix because LSH candidate ids index its absolute rows.
+/// Matrix because LSH candidate ids index its absolute rows. Source rows
+/// are processed in blocks of 32 that share one ascending sweep over the
+/// marked target rows, so each target row is read once per block; the
+/// output equals scoring each row's Query() candidates on their own.
 void LshTopKInto(const MatrixRowRange& source,
                  std::span<const EntityId> row_ids, const Matrix& target,
                  std::span<const EntityId> col_ids, const LshIndex& index,
@@ -78,11 +81,11 @@ void ExactTopKStreamedInto(const MatrixRowRange& source,
                            const stream::TileMatrix& target, bool prefetch,
                            const TopKOptions& options, SparseSimMatrix& out);
 
-/// Memory-budgeted approximate variant: candidates from `index` (built
-/// over the tiled target, e.g. incrementally) are scored by pinning each
-/// candidate's tile. Candidates arrive sorted, so each row touches every
-/// needed tile once. Bit-identical to LshTopKInto over the same target.
-/// Column ids are the target's absolute row indices.
+/// Memory-budgeted approximate variant: the same block-swept kernel as
+/// LshTopKInto, with candidates from `index` (built over the tiled
+/// target, e.g. incrementally). The sweep is ascending, so each block
+/// pins every needed tile once. Bit-identical to LshTopKInto over the
+/// same target. Column ids are the target's absolute row indices.
 void LshTopKStreamedInto(const MatrixRowRange& source,
                          std::span<const EntityId> row_ids,
                          const stream::TileMatrix& target,

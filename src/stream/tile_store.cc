@@ -72,7 +72,7 @@ TileStore::TileStore(const MemoryBudget& budget, std::string spill_dir)
 }
 
 TileStore::~TileStore() {
-  (void)prefetcher_.Drain();
+  DrainPrefetches();
   std::error_code ec;
   for (const Tile& tile : tiles_) {
     if (tile.on_disk) std::filesystem::remove(tile.path, ec);
@@ -180,14 +180,10 @@ void TileStore::Prefetch(TileId id) {
   }
   obs::MetricsRegistry::Get().GetCounter("stream.prefetch.issued").Increment();
   // The loaded tile lands in the cache; the value is dropped here and
-  // picked up by the consumer's Get(), which counts as a hit.
-  const Status submitted =
-      prefetcher_.Submit([this, id] { (void)Get(id); });
-  if (!submitted.ok()) {
-    // A failed earlier prefetch costs its cache miss; nothing to do but
-    // make the loss visible.
-    LARGEEA_LOG_WARN("stream: %s", submitted.ToString().c_str());
-  }
+  // picked up by the consumer's Get(), which counts as a hit. A failed
+  // prefetch costs its cache miss and is logged by DrainPrefetches(),
+  // which the destructor calls.
+  prefetcher_.Submit([this, id] { (void)Get(id); });
 }
 
 void TileStore::DrainPrefetches() {

@@ -71,7 +71,8 @@ class TileStore {
   /// and not already resident or loading. Never blocks.
   void Prefetch(TileId id);
 
-  /// Blocks until outstanding prefetches finish (test hook).
+  /// Blocks until outstanding prefetches finish and logs the first
+  /// failed one, if any. The destructor calls it.
   void DrainPrefetches();
 
   int64_t num_tiles() const;

@@ -2,18 +2,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 
+#include "src/common/rng.h"
 #include "src/la/ops.h"
+#include "src/obs/metrics.h"
+#include "src/par/thread_pool.h"
 #include "src/sim/csls.h"
 #include "src/sim/sim_io.h"
 #include "src/sim/lsh.h"
 #include "src/sim/sparse_sim.h"
 #include "src/sim/topk_search.h"
+#include "src/sim/topk_util.h"
+#include "src/simd/simd.h"
+#include "src/stream/memory_budget.h"
+#include "src/stream/stream_options.h"
+#include "src/stream/tile_store.h"
 
 namespace largeea {
 namespace {
@@ -334,6 +343,318 @@ TEST(LshTest, LshTopKFindsPlantedMatches) {
     if (out.ArgmaxOfRow(i) == i) ++hits;
   }
   EXPECT_GT(hits, static_cast<int>(0.95 * n));
+}
+
+// Brute-force LSH oracle. Every row's key per table comes from the same
+// hyperplanes the index draws (a Gaussian matrix from Rng(seed), one row
+// per (table, bit)) and the same sign test; a query's candidates are the
+// rows whose key lies within Hamming distance probe_radius of the
+// query's key in at least one table.
+class LshOracle {
+ public:
+  LshOracle(const Matrix& data, const LshOptions& options)
+      : options_(options),
+        planes_(static_cast<int64_t>(options.num_tables) *
+                    options.bits_per_table,
+                data.cols()) {
+    Rng rng(options.seed);
+    planes_.GaussianInit(rng, 1.0f);
+    for (int64_t r = 0; r < data.rows(); ++r) {
+      keys_.push_back(Keys(data.Row(r)));
+    }
+  }
+
+  std::vector<int32_t> Candidates(const float* vec) const {
+    const std::vector<uint32_t> query = Keys(vec);
+    std::vector<int32_t> out;
+    for (size_t r = 0; r < keys_.size(); ++r) {
+      for (int32_t t = 0; t < options_.num_tables; ++t) {
+        if (std::popcount(query[t] ^ keys_[r][t]) <= options_.probe_radius) {
+          out.push_back(static_cast<int32_t>(r));
+          break;
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::vector<uint32_t> Keys(const float* vec) const {
+    std::vector<uint32_t> keys(options_.num_tables, 0);
+    for (int32_t t = 0; t < options_.num_tables; ++t) {
+      for (int32_t b = 0; b < options_.bits_per_table; ++b) {
+        const float* plane = planes_.Row(
+            static_cast<int64_t>(t) * options_.bits_per_table + b);
+        if (Dot(plane, vec, planes_.cols()) >= 0.0f) keys[t] |= 1u << b;
+      }
+    }
+    return keys;
+  }
+
+  LshOptions options_;
+  Matrix planes_;
+  std::vector<std::vector<uint32_t>> keys_;
+};
+
+// Target rows for the oracle tests: the last third repeats rows of the
+// first third exactly, so tied scores (and tied bucket keys) are common.
+Matrix TargetWithDuplicates(int64_t rows, int64_t dim, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(rows, dim);
+  m.GlorotInit(rng);
+  const int64_t copies_from = rows - rows / 3;
+  for (int64_t r = copies_from; r < rows; ++r) {
+    for (int64_t d = 0; d < dim; ++d) m.At(r, d) = m.At(r - copies_from, d);
+  }
+  return m;
+}
+
+// `rows` queries: even rows are noisy copies of target rows, odd rows are
+// unrelated random vectors (often with no candidate at all when buckets
+// are fine-grained).
+Matrix QueriesNear(const Matrix& target, int64_t rows, uint64_t seed) {
+  Rng rng(seed);
+  Matrix q(rows, target.cols());
+  q.GlorotInit(rng);
+  for (int64_t r = 0; r < rows; r += 2) {
+    const int64_t near = static_cast<int64_t>(rng.Uniform(target.rows()));
+    for (int64_t d = 0; d < q.cols(); ++d) {
+      q.At(r, d) = target.At(near, d) +
+                   0.02f * static_cast<float>(rng.Gaussian());
+    }
+  }
+  return q;
+}
+
+const LshOptions kOracleConfigs[] = {
+    {.num_tables = 12, .bits_per_table = 8, .probe_radius = 1, .seed = 3},
+    {.num_tables = 4, .bits_per_table = 4, .probe_radius = 0, .seed = 5},
+    {.num_tables = 24, .bits_per_table = 10, .probe_radius = 1, .seed = 7},
+    {.num_tables = 3, .bits_per_table = 32, .probe_radius = 1, .seed = 9},
+    {.num_tables = 2, .bits_per_table = 32, .probe_radius = 0, .seed = 11},
+    {.num_tables = 1, .bits_per_table = 1, .probe_radius = 1, .seed = 13},
+};
+
+TEST(LshTest, QueryEqualsBruteForceOracle) {
+  const Matrix target = TargetWithDuplicates(150, 12, 61);
+  const Matrix queries = QueriesNear(target, 40, 67);
+  for (const LshOptions& options : kOracleConfigs) {
+    SCOPED_TRACE(testing::Message()
+                 << "tables=" << options.num_tables
+                 << " bits=" << options.bits_per_table
+                 << " radius=" << options.probe_radius);
+    const LshOracle oracle(target, options);
+    const LshIndex one_shot(target, options);
+    LshIndex incremental(static_cast<int32_t>(target.cols()), options);
+    for (int32_t r = 0; r < target.rows(); ++r) {
+      incremental.Insert(r, target.Row(r));
+    }
+    incremental.FinishBuild();
+    incremental.FinishBuild();  // idempotent
+    std::vector<int32_t> got;
+    for (int64_t q = 0; q < queries.rows(); ++q) {
+      const std::vector<int32_t> want = oracle.Candidates(queries.Row(q));
+      one_shot.Query(queries.Row(q), got);
+      EXPECT_EQ(got, want) << "one-shot, query " << q;
+      incremental.Query(queries.Row(q), got);
+      EXPECT_EQ(got, want) << "incremental, query " << q;
+    }
+  }
+}
+
+// The oracle's top-k: each row's oracle candidates scored with ScorePair
+// and kept by TopKHeap, scattered through the same id maps.
+SparseSimMatrix OracleTopK(const Matrix& source,
+                           std::span<const EntityId> row_ids,
+                           const Matrix& target,
+                           std::span<const EntityId> col_ids,
+                           int32_t out_rows, int32_t out_cols,
+                           const LshOracle& oracle,
+                           const TopKOptions& options, int64_t& scanned,
+                           int64_t& empty_rows) {
+  const simd::KernelTable& kt = simd::Kernels();
+  SparseSimMatrix out(out_rows, out_cols, options.k);
+  TopKHeap heap(options.k);
+  std::vector<std::pair<float, int32_t>> drained;
+  for (int64_t i = 0; i < source.rows(); ++i) {
+    const std::vector<int32_t> candidates = oracle.Candidates(source.Row(i));
+    scanned += static_cast<int64_t>(candidates.size());
+    if (candidates.empty()) ++empty_rows;
+    for (const int32_t j : candidates) {
+      heap.Offer(j, ScorePair(kt, source.Row(i), target.Row(j),
+                              source.cols(), options.metric));
+    }
+    heap.Drain(drained);
+    for (const auto& [score, j] : drained) {
+      out.Accumulate(row_ids[i], col_ids[j], score);
+    }
+  }
+  return out;
+}
+
+void ExpectSameEntries(const SparseSimMatrix& want,
+                       const SparseSimMatrix& got) {
+  ASSERT_EQ(want.num_rows(), got.num_rows());
+  for (int32_t r = 0; r < want.num_rows(); ++r) {
+    const auto a = want.Row(r);
+    const auto b = got.Row(r);
+    ASSERT_EQ(a.size(), b.size()) << "row " << r;
+    for (size_t e = 0; e < a.size(); ++e) {
+      EXPECT_EQ(a[e].column, b[e].column) << "row " << r << " entry " << e;
+      EXPECT_EQ(a[e].score, b[e].score) << "row " << r << " entry " << e;
+    }
+  }
+}
+
+// Tied kept scores somewhere in `m` — proof that the tie-break is exercised.
+int64_t CountTies(const SparseSimMatrix& m) {
+  int64_t ties = 0;
+  for (int32_t r = 0; r < m.num_rows(); ++r) {
+    const auto row = m.Row(r);
+    for (size_t a = 0; a < row.size(); ++a) {
+      for (size_t b = a + 1; b < row.size(); ++b) {
+        if (row[a].score == row[b].score) ++ties;
+      }
+    }
+  }
+  return ties;
+}
+
+class LshTopKOracleTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    saved_threads_ = par::ThreadPool::Get().num_threads();
+  }
+  void TearDown() override {
+    par::ThreadPool::Get().SetNumThreads(saved_threads_);
+  }
+
+  template <typename Body>
+  void ForEachThreadCount(Body&& body) {
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      par::ThreadPool::Get().SetNumThreads(threads);
+      body();
+    }
+  }
+
+  // Source row counts straddling the 32-row block. Up to 2048 rows the
+  // default grain gives one block per chunk; 2100 rows give two, so the
+  // second block must start from the chunk's cleared mask and heaps.
+  static constexpr int64_t kSourceRows[] = {1, 31, 32, 33, 70, 2100};
+  // A dense config (many candidates per row) and a sparse one (rows
+  // with none).
+  static constexpr LshOptions kConfigs[] = {
+      {.num_tables = 6, .bits_per_table = 6, .probe_radius = 1, .seed = 17},
+      {.num_tables = 2, .bits_per_table = 32, .probe_radius = 0, .seed = 19},
+  };
+
+  int saved_threads_ = 1;
+};
+
+TEST_F(LshTopKOracleTest, InMemoryKernelEqualsOracle) {
+  const Matrix target = TargetWithDuplicates(150, 12, 71);
+  // Column ids shifted by 3 and row ids interleaved, so both id maps
+  // are exercised.
+  std::vector<EntityId> col_ids(target.rows());
+  std::iota(col_ids.begin(), col_ids.end(), 3);
+  const int32_t out_cols = static_cast<int32_t>(target.rows()) + 3;
+  auto& registry = obs::MetricsRegistry::Get();
+  int64_t ties = 0, empty_rows = 0;
+  for (const LshOptions& options : kConfigs) {
+    const LshOracle oracle(target, options);
+    const LshIndex index(target, options);
+    for (const SimMetric metric : {SimMetric::kManhattan, SimMetric::kDot}) {
+      const TopKOptions topk{.k = 4, .metric = metric};
+      for (const int64_t rows : kSourceRows) {
+        const Matrix source = QueriesNear(target, rows, 73 + rows);
+        std::vector<EntityId> row_ids(rows);
+        for (int64_t i = 0; i < rows; ++i) row_ids[i] = 2 * i + 1;
+        const int32_t out_rows = static_cast<int32_t>(2 * rows + 2);
+        int64_t want_scanned = 0;
+        const SparseSimMatrix want =
+            OracleTopK(source, row_ids, target, col_ids, out_rows, out_cols,
+                       oracle, topk, want_scanned, empty_rows);
+        ties += CountTies(want);
+        SCOPED_TRACE(testing::Message()
+                     << "bits=" << options.bits_per_table << " rows=" << rows);
+        ForEachThreadCount([&] {
+          SparseSimMatrix got(out_rows, out_cols, topk.k);
+          const int64_t scanned_before =
+              registry.GetCounter("topk.lsh.candidates_scanned").Value();
+          const int64_t queries_before =
+              registry.GetCounter("lsh.queries").Value();
+          LshTopKInto(source, row_ids, target, col_ids, index, topk, got);
+          ExpectSameEntries(want, got);
+          EXPECT_EQ(registry.GetCounter("topk.lsh.candidates_scanned").Value() -
+                        scanned_before,
+                    want_scanned);
+          EXPECT_EQ(registry.GetCounter("lsh.queries").Value() - queries_before,
+                    rows);
+        });
+      }
+    }
+  }
+  EXPECT_GT(ties, 0);
+  EXPECT_GT(empty_rows, 0);
+}
+
+TEST_F(LshTopKOracleTest, StreamedKernelEqualsOracle) {
+  const Matrix target = TargetWithDuplicates(150, 12, 79);
+  stream::StreamOptions stream_options;
+  stream_options.memory_budget_mb = 1;
+  stream::TileStore store{stream::MemoryBudget(stream_options)};
+  stream::TileMatrix tiles(&store, target.rows(), target.cols(), 40);
+  for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+    Matrix block(tiles.TileEnd(t) - tiles.TileBegin(t), target.cols());
+    for (int64_t r = 0; r < block.rows(); ++r) {
+      std::copy_n(target.Row(tiles.TileBegin(t) + r), target.cols(),
+                  block.Row(r));
+    }
+    tiles.Append(std::move(block));
+  }
+  std::vector<EntityId> col_ids(target.rows());
+  std::iota(col_ids.begin(), col_ids.end(), 0);
+  const int32_t out_cols = static_cast<int32_t>(target.rows());
+  auto& registry = obs::MetricsRegistry::Get();
+  int64_t empty_rows = 0;
+  for (const LshOptions& options : kConfigs) {
+    const LshOracle oracle(target, options);
+    // Incremental build, one tile at a time, as the streamed search does.
+    LshIndex index(static_cast<int32_t>(target.cols()), options);
+    for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+      const std::shared_ptr<const Matrix> tile = tiles.Tile(t);
+      for (int64_t r = 0; r < tile->rows(); ++r) {
+        index.Insert(static_cast<int32_t>(tiles.TileBegin(t) + r),
+                     tile->Row(r));
+      }
+    }
+    index.FinishBuild();
+    const TopKOptions topk{.k = 4};
+    for (const int64_t rows : kSourceRows) {
+      const Matrix source = QueriesNear(target, rows, 83 + rows);
+      std::vector<EntityId> row_ids(rows);
+      std::iota(row_ids.begin(), row_ids.end(), 0);
+      int64_t want_scanned = 0;
+      const SparseSimMatrix want =
+          OracleTopK(source, row_ids, target, col_ids,
+                     static_cast<int32_t>(rows), out_cols, oracle, topk,
+                     want_scanned, empty_rows);
+      SCOPED_TRACE(testing::Message()
+                   << "bits=" << options.bits_per_table << " rows=" << rows);
+      ForEachThreadCount([&] {
+        SparseSimMatrix got(static_cast<int32_t>(rows), out_cols, topk.k);
+        const int64_t scanned_before =
+            registry.GetCounter("topk.lsh.candidates_scanned").Value();
+        LshTopKStreamedInto(source, row_ids, tiles, index, topk, got);
+        ExpectSameEntries(want, got);
+        EXPECT_EQ(registry.GetCounter("topk.lsh.candidates_scanned").Value() -
+                      scanned_before,
+                  want_scanned);
+      });
+    }
+  }
+  EXPECT_GT(empty_rows, 0);
 }
 
 }  // namespace
