@@ -39,9 +39,10 @@
 //     persists the winners as a checksummed tuning file loadable via
 //     `largeea_cli --tune-file`. The perf trajectory invokes it as
 //     `--mode=tune --json-out=BENCH_tune.json`;
-//   * --json-out=FILE --mode=dag — serial vs operator-DAG executor
-//     (DESIGN.md §14) on the full two-channel pipeline: wall clock for
-//     both schedules, bit-identity of the fused matrix, per-node
+//   * --json-out=FILE --mode=dag — the operator-DAG executor (DESIGN.md
+//     §14) on the full two-channel pipeline at one thread (the serial
+//     reference) and at the pool's thread count: wall clock for both
+//     schedules, bit-identity of the fused matrix, per-node
 //     seconds/peaks from the scheduler, and the measured critical path
 //     (the wall-time floor at infinite concurrency). The perf
 //     trajectory invokes it as `--mode=dag --json-out=BENCH_dag.json`;
@@ -740,12 +741,14 @@ int RunStreamSweep(const Flags& flags) {
 
 // ---------------------------------------------------------------------
 // DAG executor sweep (--mode=dag): the full two-channel pipeline run
-// serially and through the operator-DAG scheduler on the same dataset.
-// The value of the DAG is overlap (name channel x structure partition),
-// so the headline numbers are the two wall clocks plus the node-level
-// critical path — the floor the schedule is converging towards. Every
-// row reasserts the determinism contract: the DAG fused matrix must be
-// bit-identical to the serial one.
+// through the operator-DAG scheduler at one thread (an exact serial
+// replay of the node order, the reference) and at the pool's thread
+// count on the same dataset. The value of the DAG is overlap (name
+// channel x structure partition), so the headline numbers are the two
+// wall clocks plus the node-level critical path — the floor the
+// schedule is converging towards. Every row reasserts the determinism
+// contract: the wide schedule's fused matrix must be bit-identical to
+// the one-thread reference.
 
 int RunDagSweep(const Flags& flags) {
   bench::BenchJson json(flags, "dag");
@@ -760,41 +763,39 @@ int RunDagSweep(const Flags& flags) {
       static_cast<int32_t>(flags.GetInt("batches", 4));
   options.stream.memory_budget_mb = flags.GetInt("budget-mb", 0);
 
-  options.dag = false;
-  auto serial = RunLargeEa(dataset, options);
-  LARGEEA_CHECK(serial.ok());
-  const uint64_t serial_hash = FusedMatrixHash(serial->fused);
+  const int32_t threads = par::ThreadPool::Get().num_threads();
+  par::ThreadPool::Get().SetNumThreads(1);
+  auto reference = RunLargeEa(dataset, options);
+  LARGEEA_CHECK(reference.ok());
+  const uint64_t reference_hash = FusedMatrixHash(reference->fused);
 
-  options.dag = true;
+  par::ThreadPool::Get().SetNumThreads(threads);
   auto dag = RunLargeEa(dataset, options);
   LARGEEA_CHECK(dag.ok());
-  const bool identical = FusedMatrixHash(dag->fused) == serial_hash;
-  const double speedup =
-      dag->total_seconds > 0.0 ? serial->total_seconds / dag->total_seconds
-                               : 0.0;
+  const bool identical = FusedMatrixHash(dag->fused) == reference_hash;
+  const double speedup = dag->total_seconds > 0.0
+                             ? reference->total_seconds / dag->total_seconds
+                             : 0.0;
 
+  // "reference" is the one-thread replay; "dag" the pool-wide schedule.
+  const auto run_row = [](const char* name, int32_t run_threads,
+                          const LargeEaResult& run, bool same) {
+    std::printf("%-24s %10.3f %12s\n", name, run.total_seconds,
+                same ? "yes" : "NO");
+    bench::BenchJson::Row row;
+    row.Set("row", name)
+        .Set("threads", run_threads)
+        .Set("seconds", run.total_seconds)
+        .Set("peak_bytes", run.peak_bytes)
+        .Set("identical", same)
+        .Set("deferrals", run.dag_deferrals);
+    return row;
+  };
   std::printf("%-24s %10s %12s\n", "row", "seconds", "identical");
-  std::printf("%-24s %10.3f %12s\n", "serial", serial->total_seconds, "-");
-  std::printf("%-24s %10.3f %12s\n", "dag", dag->total_seconds,
-              identical ? "yes" : "NO");
-  {
-    bench::BenchJson::Row row;
-    row.Set("row", "serial")
-        .Set("seconds", serial->total_seconds)
-        .Set("peak_bytes", serial->peak_bytes)
-        .Set("identical", true);
-    json.Add(std::move(row));
-  }
-  {
-    bench::BenchJson::Row row;
-    row.Set("row", "dag")
-        .Set("seconds", dag->total_seconds)
-        .Set("peak_bytes", dag->peak_bytes)
-        .Set("identical", identical)
-        .Set("speedup", speedup)
-        .Set("deferrals", dag->dag_deferrals);
-    json.Add(std::move(row));
-  }
+  json.Add(run_row("reference", 1, *reference, true));
+  bench::BenchJson::Row wide = run_row("dag", threads, *dag, identical);
+  wide.Set("speedup", speedup);
+  json.Add(std::move(wide));
   for (const DagNodeStats& node : dag->dag_nodes) {
     std::printf("%-24s %10.3f %12s\n", ("node:" + node.name).c_str(),
                 node.seconds, "-");

@@ -15,9 +15,9 @@
 //       --resume (DESIGN.md "Failure model"), --trace-out /
 //       --report-out (DESIGN.md "Observability"), --threads / --simd
 //       (bit-identical results either way, DESIGN.md "Execution
-//       model" / "SIMD kernels"), --strict-io.
-//       (`align`, and invoking with bare flags and no subcommand, are
-//       deprecated spellings of `run`.)
+//       model" / "SIMD kernels"), --strict-io, --shards N (train the
+//       structure channel in N supervised worker processes, DESIGN.md
+//       §12).
 //
 //   largeea_cli index-build --source A.tsv --target B.tsv [--seeds S.tsv]
 //                           --index-out INDEX [any Config flag]
@@ -248,9 +248,9 @@ void ReportPhases(const LargeEaResult& result, obs::RunReport& report) {
     std::printf("%-22s %10.3f %12s\n", row.name, row.seconds, mem);
     report.AddPhase(row.name, row.seconds, row.peak_bytes);
   }
-  // DAG-executor node stats (empty on --no-dag): per-operator wall
-  // time and tracked peak, plus the measured critical path — the wall
-  // clock floor at infinite concurrency.
+  // DAG-executor node stats: per-operator wall time and tracked peak,
+  // plus the measured critical path — the wall clock floor at infinite
+  // concurrency.
   for (const DagNodeStats& node : result.dag_nodes) {
     char mem[32];
     std::snprintf(mem, sizeof(mem), "%.1fMB",
@@ -699,7 +699,7 @@ int main(int argc, char** argv) {
         "       largeea_cli --help\n");
     return 2;
   }
-  std::string command = argv[1];
+  const std::string command = argv[1];
   if (command == "--help" || command == "-h") {
     std::printf(
         "usage: largeea_cli generate|run|index-build|serve|query|partition"
@@ -708,24 +708,7 @@ int main(int argc, char** argv) {
         ConfigHelp().c_str());
     return 0;
   }
-  // Legacy spellings: `align` and the original bare-flag invocation
-  // (no subcommand at all) both mean `run`. Kept as aliases so scripts
-  // and the shard orchestrator's re-invocations keep working.
-  int flag_argc = argc - 1;
-  char** flag_argv = argv + 1;
-  if (command.size() > 1 && command[0] == '-') {
-    std::fprintf(stderr,
-                 "largeea_cli: invoking without a subcommand is deprecated; "
-                 "assuming 'run' (see --help)\n");
-    command = "run";
-    flag_argc = argc;  // Flags skips element 0, which is now the binary.
-    flag_argv = argv;
-  } else if (command == "align") {
-    std::fprintf(stderr,
-                 "largeea_cli: 'align' is deprecated, use 'run'\n");
-    command = "run";
-  }
-  const Flags flags(flag_argc, flag_argv);
+  const Flags flags(argc - 1, argv + 1);
   // All commands share one configuration surface: every pipeline,
   // runtime, and I/O knob parses through largeea::Config exactly once.
   // Binary-local inputs (--source, --tier, ...) stay on `flags`.

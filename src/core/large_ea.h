@@ -3,7 +3,9 @@
 // Run order follows Algorithm 1: the name channel produces M_n and pseudo
 // seeds; the pseudo seeds join ψ'; the structure channel trains per
 // mini-batch and produces M_s; the channels fuse as M = M_s + M_n; the
-// fused matrix is evaluated against the held-out test pairs.
+// fused matrix is evaluated against the held-out test pairs. The one
+// executor is the operator DAG (src/dag/pipeline_dag.h), which overlaps
+// independent operators without changing a result bit.
 //
 // Fault tolerance: with a checkpoint directory configured, every phase
 // boundary (name channel, partition, each mini-batch, fused matrix)
@@ -15,6 +17,7 @@
 #define LARGEEA_CORE_LARGE_EA_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "src/core/name_channel.h"
 #include "src/core/structure_channel.h"
 #include "src/kg/dataset.h"
+#include "src/rt/checkpoint.h"
 #include "src/rt/status.h"
 #include "src/stream/stream_options.h"
 
@@ -63,16 +67,9 @@ struct LargeEaOptions {
   /// (nff.semantic, nff.string, structure_channel.similarity) come back
   /// empty — only `fused` and the metrics are retained.
   stream::StreamOptions stream;
-  /// Run the pipeline through the operator-DAG executor (src/dag/):
-  /// independent operators overlap on worker threads, admission is
-  /// budget-aware, and intermediates are released at their last use.
-  /// False runs the historical serial order. Scheduling-only — results
-  /// and checkpoints are bit-identical either way, so this flag is
-  /// deliberately NOT part of the config fingerprint.
-  bool dag = true;
 };
 
-/// Per-operator execution record when the DAG executor ran.
+/// Per-operator execution record from the DAG executor.
 struct DagNodeStats {
   std::string name;
   double seconds = 0.0;
@@ -91,7 +88,7 @@ struct LargeEaResult {
   EntityPairList effective_seeds;
   double total_seconds = 0.0;
   int64_t peak_bytes = 0;
-  /// DAG-executor diagnostics; empty when the serial path ran.
+  /// DAG-executor diagnostics, one entry per operator.
   std::vector<DagNodeStats> dag_nodes;
   double dag_critical_path_seconds = 0.0;
   std::vector<std::string> dag_critical_path;  ///< node names, source→sink
@@ -104,12 +101,23 @@ struct LargeEaResult {
 uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
                                   const LargeEaOptions& options);
 
+/// Trains the structure channel's mini-batches somewhere other than the
+/// calling thread pool — the shard orchestrator's supervised worker
+/// processes (src/shard/orchestrator.h). Called by the `structure_train`
+/// operator with the materialised partition and the run's checkpoint
+/// manager; the operator then merges whatever batch blocks the manager
+/// can load. A non-OK status fails the run.
+using StructureTrainer = std::function<Status(
+    const MiniBatchSet& batches, rt::CheckpointManager& checkpoint)>;
+
 /// Runs LargeEA on `dataset` (dataset.split.train as ψ', possibly empty
 /// for unsupervised EA) and evaluates on dataset.split.test. Fails with a
 /// contextful Status when a channel fails unrecoverably; per-batch
 /// structure failures degrade (see StructureChannelOptions) instead.
-StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
-                                   const LargeEaOptions& options);
+/// A null `train_batches` trains every batch in-process.
+StatusOr<LargeEaResult> RunLargeEa(
+    const EaDataset& dataset, const LargeEaOptions& options,
+    const StructureTrainer& train_batches = nullptr);
 
 }  // namespace largeea
 

@@ -66,7 +66,8 @@ struct StructureChannelOptions {
   /// invalidate checkpoints shared across processes.
   int32_t shard_count = 0;
   int32_t shard_index = 0;
-  /// Merge-only resume (the orchestrator's fuse phase): a batch whose
+  /// Merge-only resume (the sharded structure_train node, after its
+  /// workers finished): a batch whose
   /// checkpoint artifact cannot be loaded is treated as a *failed* batch
   /// — dropped and counted under drop_failed_batches, channel failure
   /// otherwise — instead of being retrained in this process. Guarantees
@@ -97,10 +98,10 @@ std::string StructureBatchArtifactKind(size_t batch_index);
 bool StructureBatchTrainable(const MiniBatch& batch);
 
 /// The partition phase alone: loads the checkpointed batch set, or
-/// generates (+overlaps, + checkpoints) it. Exposed so the shard
-/// orchestrator can materialise the partition once before spawning
-/// workers. With options.shard_count > 0 the partition is load-only and
-/// a missing artifact is FAILED_PRECONDITION (see the field comment).
+/// generates (+overlaps, + checkpoints) it. The pipeline DAG runs this
+/// as its `partition` operator, whose artifact shard workers then load.
+/// With options.shard_count > 0 the partition is load-only and a
+/// missing artifact is FAILED_PRECONDITION (see the field comment).
 /// `partition_seconds`, when non-null, receives the phase wall time.
 StatusOr<MiniBatchSet> PrepareStructureBatches(
     const KnowledgeGraph& source, const KnowledgeGraph& target,

@@ -1,6 +1,7 @@
 #include "src/dag/pipeline_dag.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -13,9 +14,8 @@
 namespace largeea::dag {
 namespace {
 
-// Artifact kinds shared with the serial path (src/core/name_channel.cc,
-// src/core/large_ea.cc) — the two executors must read and write the
-// same checkpoint store interchangeably.
+// Checkpoint artifact kinds; the per-node fingerprints in
+// src/core/pipeline_fingerprint.cc are installed under the same names.
 constexpr const char* kSemanticKind = "name_semantic";
 constexpr const char* kStringKind = "name_string";
 constexpr const char* kNameFusedKind = "name_fused";
@@ -28,13 +28,20 @@ int64_t SimBytes(int64_t rows, int64_t k) {
   return rows * (k * static_cast<int64_t>(sizeof(SimEntry)) + 32);
 }
 
-/// Loads `kind` into `out` if resume mode has a usable artifact.
-/// Non-NOT_FOUND failures are counted and logged (the serial path's
-/// behaviour) and the node recomputes.
-bool TryLoadMatrix(rt::CheckpointManager& checkpoint, const char* kind,
-                   SparseSimMatrix& out, NodeContext& ctx) {
+/// Loads `kind` into `out` (a matrix or a pair list) if resume mode has
+/// a usable artifact. Non-NOT_FOUND failures are counted and logged,
+/// and the node recomputes.
+template <typename T>
+bool TryLoad(rt::CheckpointManager& checkpoint, const char* kind, T& out,
+             NodeContext& ctx) {
   if (!checkpoint.should_load()) return false;
-  auto loaded = checkpoint.LoadMatrix(kind);
+  StatusOr<T> loaded = [&] {
+    if constexpr (std::is_same_v<T, EntityPairList>) {
+      return checkpoint.LoadPairs(kind);
+    } else {
+      return checkpoint.LoadMatrix(kind);
+    }
+  }();
   if (loaded.ok()) {
     out = std::move(loaded).value();
     ctx.MarkFromCheckpoint();
@@ -65,7 +72,7 @@ struct PipelineState {
 StatusOr<LargeEaResult> RunLargeEaPipeline(
     const EaDataset& dataset, const LargeEaOptions& options,
     rt::CheckpointManager& checkpoint, stream::StreamContext* stream_ctx,
-    int32_t max_concurrency) {
+    int32_t max_concurrency, const StructureTrainer& train_batches) {
   const KnowledgeGraph& source = dataset.source;
   const KnowledgeGraph& target = dataset.target;
   const NameChannelOptions& n = options.name_channel;
@@ -107,7 +114,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
             SimBytes(src_rows, n.nff.sens.top_k),
         [&](NodeContext& ctx) -> Status {
           SparseSimMatrix& out = state.result.name_channel.nff.semantic;
-          if (TryLoadMatrix(checkpoint, kSemanticKind, out, ctx)) {
+          if (TryLoad(checkpoint, kSemanticKind, out, ctx)) {
             return OkStatus();
           }
           LARGEEA_INJECT_FAULT("name.features");
@@ -124,7 +131,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
             SimBytes(src_rows, n.nff.stns.max_entries_per_row),
         [&](NodeContext& ctx) -> Status {
           SparseSimMatrix& out = state.result.name_channel.nff.string;
-          if (TryLoadMatrix(checkpoint, kStringKind, out, ctx)) {
+          if (TryLoad(checkpoint, kStringKind, out, ctx)) {
             return OkStatus();
           }
           out = ComputeStringSimilarity(source, target, n.nff.stns);
@@ -138,7 +145,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
         SimBytes(src_rows, n.nff.max_entries_per_row),
         [&](NodeContext& ctx) -> Status {
           NffResult& nff = state.result.name_channel.nff;
-          if (TryLoadMatrix(checkpoint, kNameFusedKind, nff.fused, ctx)) {
+          if (TryLoad(checkpoint, kNameFusedKind, nff.fused, ctx)) {
             return OkStatus();
           }
           if (consume) {
@@ -158,8 +165,8 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
           return OkStatus();
         });
     // Augmentation disabled still gets a node: ψ'_p is then constantly
-    // empty, and saving the artifact keeps resume-completeness the same
-    // as the serial path's four-artifact contract. Without the M_n edge
+    // empty, and saving the artifact keeps the name channel's four
+    // artifacts complete for resume. Without the M_n edge
     // the node is a source, so the whole structure channel overlaps the
     // name channel.
     std::vector<int32_t> aug_inputs;
@@ -168,36 +175,18 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
         "name_augmentation", std::move(aug_inputs), {v_pseudo}, src_rows * 8,
         [&](NodeContext& ctx) -> Status {
           EntityPairList& pseudo = state.result.name_channel.pseudo_seeds;
-          if (checkpoint.should_load()) {
-            auto loaded = checkpoint.LoadPairs(kPseudoSeedKind);
-            if (loaded.ok()) {
-              pseudo = std::move(loaded).value();
-              obs::MetricsRegistry::Get()
-                  .GetGauge("name.pseudo_seeds")
-                  .Set(static_cast<double>(pseudo.size()));
-              ctx.MarkFromCheckpoint();
-              return OkStatus();
-            }
-            if (loaded.status().code() != StatusCode::kNotFound) {
-              obs::MetricsRegistry::Get()
-                  .GetCounter("checkpoint.load_failures")
-                  .Increment();
-              LARGEEA_LOG_WARN("dag: ignoring unusable '%s' checkpoint "
-                               "(%s); recomputing",
-                               kPseudoSeedKind,
-                               loaded.status().ToString().c_str());
-            }
-          }
-          if (n.enable_augmentation) {
+          const bool loaded = TryLoad(checkpoint, kPseudoSeedKind, pseudo, ctx);
+          if (!loaded && n.enable_augmentation) {
             LARGEEA_INJECT_FAULT("name.augmentation");
             pseudo = GeneratePseudoSeeds(state.result.name_channel.nff.fused,
                                          dataset.split.train,
                                          n.augmentation_margin);
-            obs::MetricsRegistry::Get()
-                .GetGauge("name.pseudo_seeds")
+          }
+          if (loaded || n.enable_augmentation) {
+            registry.GetGauge("name.pseudo_seeds")
                 .Set(static_cast<double>(pseudo.size()));
           }
-          if (checkpoint.enabled()) {
+          if (!loaded && checkpoint.enabled()) {
             (void)checkpoint.SavePairs(kPseudoSeedKind, pseudo);
           }
           return OkStatus();
@@ -250,6 +239,9 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
         "structure_train", {v_batches}, {v_struct},
         all_rows * s.train.dim * 4 * 3 + SimBytes(src_rows, s.top_k),
         [&](NodeContext& ctx) -> Status {
+          if (train_batches) {
+            LARGEEA_RETURN_IF_ERROR(train_batches(state.batches, checkpoint));
+          }
           auto trained = TrainStructureChannel(
               source, target, std::move(state.batches), s, &checkpoint);
           if (!trained.ok()) return trained.status();
@@ -281,18 +273,15 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
       [&](NodeContext& ctx) -> Status {
         LARGEEA_INJECT_FAULT("pipeline.fusion");
         LargeEaResult& r = state.result;
-        if (TryLoadMatrix(checkpoint, kFusedKind, r.fused, ctx)) {
+        if (TryLoad(checkpoint, kFusedKind, r.fused, ctx)) {
           return OkStatus();
         }
-        // Same four-way branch as the serial path; under a consuming
-        // stream context the inputs are moved and the scheduler's value
-        // release resets the moved-from fields to clean empties.
-        if (options.use_name_channel && options.use_structure_channel &&
-            !options.fuse_name_similarity) {
-          r.fused = consume ? std::move(r.structure_channel.similarity)
-                            : r.structure_channel.similarity;
-        } else if (options.use_name_channel &&
-                   options.use_structure_channel) {
+        // Under a consuming stream context the inputs are moved and the
+        // scheduler's value release resets the moved-from fields to
+        // clean empties. "w/o name channel" (fuse_name_similarity off)
+        // scores M_s alone: augmentation already fed ψ'.
+        if (options.use_structure_channel && options.use_name_channel &&
+            options.fuse_name_similarity) {
           if (consume) {
             r.fused = SparseSimMatrix::FuseStreamed(
                 std::move(r.structure_channel.similarity),
@@ -332,9 +321,8 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   if (!scheduled.ok()) return scheduled.status();
   ScheduleResult& sched = scheduled.value();
 
-  // Reconstruct the serial path's channel-level bookkeeping from the
-  // per-node runs (component timings stay zero for resumed nodes, as
-  // the serial resume leaves them).
+  // Channel-level bookkeeping from the per-node runs (component
+  // timings stay zero for resumed nodes).
   if (options.use_name_channel) {
     NameChannelResult& name = state.result.name_channel;
     const NodeRun& sem = sched.node_runs[static_cast<size_t>(n_sem)];

@@ -17,10 +17,13 @@
 // ψ' needs no name-channel output, so the structure channel launches
 // immediately and runs concurrently with SENS/STNS.
 //
-// Every operator keeps the serial pipeline's checkpoint artifact, fault
-// injection point, and numeric behaviour; only the schedule differs.
-// RunLargeEaPipeline is the drop-in body RunLargeEa delegates to when
-// LargeEaOptions::dag is set.
+// This is the pipeline's only executor: RunLargeEa builds a streaming
+// context and a checkpoint manager and delegates here. At
+// max_concurrency 1 the scheduler replays the nodes in id order on one
+// thread, which is the serial reference every wider schedule is proven
+// bit-identical against (tests/dag_test.cc). Sharded training
+// (src/shard/) is not a separate pipeline either: it is a
+// StructureTrainer the structure_train node calls before merging.
 #ifndef LARGEEA_DAG_PIPELINE_DAG_H_
 #define LARGEEA_DAG_PIPELINE_DAG_H_
 
@@ -31,16 +34,17 @@
 
 namespace largeea::dag {
 
-/// Runs the full pipeline as a scheduled operator graph and fills a
-/// LargeEaResult identical (bit-for-bit on `fused`, the metrics, and
-/// every checkpoint artifact) to the serial path's. `checkpoint` must
-/// come from MakePipelineCheckpointManager so per-node artifacts carry
-/// per-node fingerprints; `stream_ctx` may be null (unbudgeted).
-/// `max_concurrency` bounds overlapping operators (1 = serial order).
+/// Runs the full pipeline as a scheduled operator graph. The result —
+/// `fused`, the metrics, and every checkpoint artifact — is bit-for-bit
+/// the same at any `max_concurrency` (1 = serial order) and any memory
+/// budget. `checkpoint` must come from MakePipelineCheckpointManager so
+/// per-node artifacts carry per-node fingerprints; `stream_ctx` may be
+/// null (unbudgeted). A non-null `train_batches` runs inside the
+/// structure_train node before the batch blocks are merged.
 StatusOr<LargeEaResult> RunLargeEaPipeline(
     const EaDataset& dataset, const LargeEaOptions& options,
     rt::CheckpointManager& checkpoint, stream::StreamContext* stream_ctx,
-    int32_t max_concurrency);
+    int32_t max_concurrency, const StructureTrainer& train_batches);
 
 }  // namespace largeea::dag
 

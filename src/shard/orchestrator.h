@@ -1,22 +1,19 @@
 // Crash-tolerant multi-process shard orchestrator (DESIGN.md §12).
 //
 // RunShardedLargeEa splits the structure channel's mini-batch training
-// across N supervised worker subprocesses and merges their checkpointed
-// blocks through the single-process resume path, so the fused matrix is
-// bit-identical to a plain RunLargeEa at ANY shard count — including
-// after a worker was SIGKILLed mid-batch and respawned.
-//
-// Phases:
-//   A. Parent: name channel + seed augmentation + partition, all
-//      checkpointed (identical to the single-process prefix).
-//   B. Supervision loop: spawn one worker per incomplete shard, watch
+// across N supervised worker subprocesses. It is one RunLargeEa call —
+// the same operator DAG as any run — whose structure_train node:
+//   1. supervises the workers: spawn one per incomplete shard, watch
 //      heartbeats and deadlines, classify failures (exit code, signal,
 //      hang, deadline), retry with bounded exponential backoff; a shard
 //      that exhausts its retries is degraded — its batches fall out of
-//      M_s and are counted, never silently wrong.
-//   C. Merge: RunLargeEa with resume=true over the shared checkpoint
-//      directory; the in-order block merge cannot tell worker-trained
-//      artifacts from locally trained ones.
+//      M_s and are counted, never silently wrong;
+//   2. merges merge-only over the shared checkpoint directory: the
+//      in-order block merge cannot tell worker-trained artifacts from
+//      locally trained ones.
+// So the fused matrix and every checkpoint artifact are bit-identical to
+// a plain RunLargeEa at ANY shard count — including after a worker was
+// SIGKILLed mid-batch and respawned.
 #ifndef LARGEEA_SHARD_ORCHESTRATOR_H_
 #define LARGEEA_SHARD_ORCHESTRATOR_H_
 
@@ -81,10 +78,11 @@ struct ShardRunStats {
 };
 
 /// Runs the sharded pipeline. Requires a checkpoint directory and a
-/// worker command when `shards.num_shards > 0`. On success the result
-/// is bit-identical to RunLargeEa(dataset, options) modulo explicitly
-/// counted degradation. `stats` (optional) receives the supervision
-/// tallies also published as shard.* metrics.
+/// worker command when `shards.num_shards > 0`; a fresh (non-resume)
+/// run first deletes the directory's stale `.ckpt` files. On success the
+/// result is bit-identical to RunLargeEa(dataset, options) modulo
+/// explicitly counted degradation. `stats` (optional) receives the
+/// supervision tallies also published as shard.* metrics.
 StatusOr<LargeEaResult> RunShardedLargeEa(const EaDataset& dataset,
                                           const LargeEaOptions& options,
                                           const ShardOptions& shards,

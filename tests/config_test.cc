@@ -4,12 +4,15 @@
 // report JSON must all agree.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "src/common/flags.h"
 #include "src/core/config.h"
 #include "src/obs/report.h"
+#include "src/rt/io_util.h"
+#include "src/shard/subprocess.h"
 
 namespace largeea {
 namespace {
@@ -140,11 +143,39 @@ TEST(FlagRegistryTest, KnowsAndHelpCoverEveryBinding) {
   EXPECT_TRUE(registry.Knows("memory-budget-mb"));
   EXPECT_TRUE(registry.Knows("model"));
   EXPECT_FALSE(registry.Knows("source"));  // binary-local, not Config
+  // The operator DAG is the only executor; there is no switch for it.
+  EXPECT_FALSE(registry.Knows("dag"));
+  EXPECT_FALSE(registry.Knows("no-dag"));
   const std::string help = ConfigHelp();
   for (const auto& [name, value] : registry.Values()) {
     EXPECT_NE(help.find("--" + name), std::string::npos) << name;
   }
 }
+
+#ifdef LARGEEA_CLI_BIN
+// `run` is the only spelling of the pipeline command: `align` and a bare
+// flag list are rejected like any other unknown command.
+TEST(CliTest, RemovedRunSpellingsAreUnknownCommands) {
+  const std::string log =
+      (std::filesystem::temp_directory_path() / "largeea_cli_spelling.log")
+          .string();
+  for (const std::string& first : {std::string("align"),
+                                   std::string("--source=a.tsv")}) {
+    SCOPED_TRACE(first);
+    auto pid = shard::SpawnProcess(
+        {LARGEEA_CLI_BIN, first, "--target=b.tsv", "--log-level=off"}, {},
+        log);
+    ASSERT_TRUE(pid.ok()) << pid.status().ToString();
+    const shard::ProcessStatus status = shard::WaitProcess(*pid);
+    EXPECT_EQ(status.state, shard::ProcessStatus::State::kExited);
+    EXPECT_EQ(status.exit_code, 2);
+    const auto output = rt::ReadFileToString(log);
+    ASSERT_TRUE(output.ok());
+    EXPECT_NE(output->find("unknown command"), std::string::npos) << *output;
+  }
+  std::filesystem::remove(log);
+}
+#endif  // LARGEEA_CLI_BIN
 
 }  // namespace
 }  // namespace largeea

@@ -3,9 +3,9 @@
 
 #include "src/core/evaluator.h"
 #include "src/core/large_ea.h"
-#include "src/core/name_channel.h"
 #include "src/core/structure_channel.h"
 #include "src/gen/benchmark_gen.h"
+#include "src/name/data_augmentation.h"
 
 namespace largeea {
 namespace {
@@ -64,25 +64,32 @@ class CoreFixture : public ::testing::Test {
 
 const EaDataset* CoreFixture::dataset_ = nullptr;
 
+// The name channel runs as DAG operators of the full pipeline; with the
+// structure channel ablated, RunLargeEa is the name channel alone.
+LargeEaOptions NameChannelOnly() {
+  LargeEaOptions options;
+  options.use_structure_channel = false;
+  return options;
+}
+
 TEST_F(CoreFixture, NameChannelProducesFeaturesAndSeeds) {
-  const NameChannelResult result =
-      RunNameChannel(dataset().source, dataset().target,
-                     dataset().split.train, NameChannelOptions{})
-          .value();
+  const LargeEaResult run =
+      RunLargeEa(dataset(), NameChannelOnly()).value();
+  const NameChannelResult& result = run.name_channel;
   EXPECT_GT(result.nff.fused.TotalEntries(), 0);
   EXPECT_GT(result.pseudo_seeds.size(), 20u);
   EXPECT_GT(result.total_seconds, 0.0);
   EXPECT_GT(result.peak_bytes, 0);
+  EXPECT_FALSE(result.resumed);
 }
 
 TEST_F(CoreFixture, NameChannelAugmentationCanBeDisabled) {
-  NameChannelOptions options;
-  options.enable_augmentation = false;
-  const NameChannelResult result =
-      RunNameChannel(dataset().source, dataset().target,
-                     dataset().split.train, options)
-          .value();
-  EXPECT_TRUE(result.pseudo_seeds.empty());
+  LargeEaOptions options = NameChannelOnly();
+  options.name_channel.enable_augmentation = false;
+  const LargeEaResult run = RunLargeEa(dataset(), options).value();
+  EXPECT_GT(run.name_channel.nff.fused.TotalEntries(), 0);
+  EXPECT_TRUE(run.name_channel.pseudo_seeds.empty());
+  EXPECT_EQ(run.effective_seeds, dataset().split.train);
 }
 
 class StructureStrategyTest

@@ -4,11 +4,11 @@
 //   * scheduler unit tests on toy graphs — serial order at concurrency
 //     1, genuine overlap at concurrency 2, budget deferrals, release at
 //     last consumer, first-error-by-node-id;
-//   * pipeline equivalence — the DAG schedule of RunLargeEa is proven
-//     bit-identical to the serial reference (--no-dag) across thread
-//     counts × memory budgets × SIMD backends, its checkpoints are
-//     byte-identical across schedules, and --resume re-executes only
-//     the dirty subgraph.
+//   * pipeline equivalence — RunLargeEa at one thread (an exact serial
+//     replay of the node order, the reference) is proven bit-identical
+//     to wider schedules across thread counts × memory budgets × SIMD
+//     backends, its checkpoints are byte-identical across schedules,
+//     and --resume re-executes only the dirty subgraph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -187,7 +187,7 @@ TEST(DagSchedulerTest, ReportsFirstErrorInSerialOrder) {
 }
 
 // ---------------------------------------------------------------------
-// Pipeline equivalence: DAG schedule vs the serial reference.
+// Pipeline equivalence: wide schedules vs the one-thread reference.
 
 uint64_t FusedHash(const SparseSimMatrix& m) {
   std::string bytes;
@@ -278,18 +278,17 @@ class DagPipelineTest : public ::testing::Test {
 
 const EaDataset* DagPipelineTest::dataset_ = nullptr;
 
-TEST_F(DagPipelineTest, MatchesSerialAcrossThreadsAndBudgets) {
-  LargeEaOptions serial = BaseOptions();
-  serial.dag = false;
-  const auto baseline = RunLargeEa(dataset(), serial);
+TEST_F(DagPipelineTest, MatchesOneThreadAcrossThreadsAndBudgets) {
+  // At one thread the scheduler replays the nodes in id order — the
+  // serial reference every other schedule must reproduce bit for bit.
+  par::ThreadPool::Get().SetNumThreads(1);
+  const auto baseline = RunLargeEa(dataset(), BaseOptions());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  EXPECT_TRUE(baseline->dag_nodes.empty());
 
   for (const int32_t threads : {1, 2, 8}) {
     for (const int64_t budget_mb : {int64_t{0}, int64_t{1}}) {
       par::ThreadPool::Get().SetNumThreads(threads);
       LargeEaOptions options = BaseOptions();
-      options.dag = true;
       options.stream.memory_budget_mb = budget_mb;
       if (budget_mb > 0) options.stream.tile_rows = 64;
       const auto scheduled = RunLargeEa(dataset(), options);
@@ -304,26 +303,22 @@ TEST_F(DagPipelineTest, MatchesSerialAcrossThreadsAndBudgets) {
   }
 }
 
-TEST_F(DagPipelineTest, MatchesSerialOnScalarBackend) {
+TEST_F(DagPipelineTest, MatchesOneThreadOnScalarBackend) {
   const simd::Backend original = simd::ActiveBackend();
   simd::SetBackend(simd::Backend::kScalar);
-  LargeEaOptions serial = BaseOptions();
-  serial.dag = false;
-  const auto baseline = RunLargeEa(dataset(), serial);
-  ASSERT_TRUE(baseline.ok());
+  par::ThreadPool::Get().SetNumThreads(1);
+  const auto baseline = RunLargeEa(dataset(), BaseOptions());
 
   par::ThreadPool::Get().SetNumThreads(4);
-  LargeEaOptions options = BaseOptions();
-  options.dag = true;
-  const auto scheduled = RunLargeEa(dataset(), options);
+  const auto scheduled = RunLargeEa(dataset(), BaseOptions());
   simd::SetBackend(original);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_TRUE(scheduled.ok()) << scheduled.status().ToString();
   ExpectSameResult(*baseline, *scheduled);
 }
 
 TEST_F(DagPipelineTest, ChecksDagBudgetComplianceGauge) {
   LargeEaOptions options = BaseOptions();
-  options.dag = true;
   options.stream.memory_budget_mb = 256;  // generous: must be compliant
   options.stream.tile_rows = 64;
   const auto run = RunLargeEa(dataset(), options);
@@ -335,7 +330,6 @@ TEST_F(DagPipelineTest, ChecksDagBudgetComplianceGauge) {
 TEST_F(DagPipelineTest, ChecksNodeStatsCoverEveryOperator) {
   par::ThreadPool::Get().SetNumThreads(4);
   LargeEaOptions options = BaseOptions();
-  options.dag = true;
   const auto run = RunLargeEa(dataset(), options);
   ASSERT_TRUE(run.ok());
   std::vector<std::string> names;
@@ -350,23 +344,21 @@ TEST_F(DagPipelineTest, ChecksNodeStatsCoverEveryOperator) {
 }
 
 TEST_F(DagPipelineTest, CheckpointsAreByteIdenticalAcrossSchedules) {
-  // The checkpoint contract is schedule-invariant: serial at one
-  // thread and DAG at eight threads under a tiny budget write the
-  // same artifact set, byte for byte. (DAG runs persist full
-  // intermediate artifacts regardless of the budget — that is what
-  // makes this possible; see DESIGN.md §14.)
+  // The checkpoint contract is schedule-invariant: one thread
+  // unbudgeted and eight threads under a tiny budget write the same
+  // artifact set, byte for byte. (Every operator persists its full
+  // artifact before any consumer releases it, whatever the budget —
+  // that is what makes this possible; see DESIGN.md §14.)
   par::ThreadPool::Get().SetNumThreads(1);
   LargeEaOptions first = BaseOptions();
-  first.dag = true;
-  first.fault_tolerance.checkpoint_dir = CheckpointDir("bytes_serial");
+  first.fault_tolerance.checkpoint_dir = CheckpointDir("bytes_one_thread");
   ASSERT_TRUE(RunLargeEa(dataset(), first).ok());
 
   par::ThreadPool::Get().SetNumThreads(8);
   LargeEaOptions second = BaseOptions();
-  second.dag = true;
   second.stream.memory_budget_mb = 1;
   second.stream.tile_rows = 64;
-  second.fault_tolerance.checkpoint_dir = CheckpointDir("bytes_dag");
+  second.fault_tolerance.checkpoint_dir = CheckpointDir("bytes_budgeted");
   ASSERT_TRUE(RunLargeEa(dataset(), second).ok());
 
   const auto a = DirHashes(first.fault_tolerance.checkpoint_dir);
@@ -379,7 +371,6 @@ TEST_F(DagPipelineTest, CheckpointsAreByteIdenticalAcrossSchedules) {
 
 TEST_F(DagPipelineTest, ResumeReExecutesOnlyTheDirtySubgraph) {
   LargeEaOptions options = BaseOptions();
-  options.dag = true;
   options.fault_tolerance.checkpoint_dir = CheckpointDir("dirty");
   ASSERT_TRUE(RunLargeEa(dataset(), options).ok());
 
@@ -425,7 +416,6 @@ TEST_F(DagPipelineTest, TraceShowsNodeSpansAndFlowEvents) {
   recorder.Clear();
   recorder.Enable();
   LargeEaOptions options = BaseOptions();
-  options.dag = true;
   const auto run = RunLargeEa(dataset(), options);
   recorder.Disable();
   ASSERT_TRUE(run.ok());

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -444,6 +445,21 @@ class ShardChaosTest : public ::testing::Test {
     return dir_;
   }
 
+  /// filename -> content hash for every checkpoint artifact in `dir`
+  /// (worker logs and heartbeat files are not artifacts).
+  static std::map<std::string, uint64_t> CheckpointHashes(
+      const std::string& dir) {
+    std::map<std::string, uint64_t> hashes;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() != ".ckpt") continue;
+      const auto bytes = rt::ReadFileToString(entry.path().string());
+      if (bytes.ok()) {
+        hashes[entry.path().filename().string()] = rt::Fnv1a64(*bytes);
+      }
+    }
+    return hashes;
+  }
+
   std::string dir_;
   int32_t saved_threads_ = 1;
 
@@ -473,6 +489,32 @@ TEST_F(ShardChaosTest, ShardedRunIsBitIdenticalAtAnyShardCount) {
     EXPECT_EQ(stats.shards_degraded, 0);
     fs::remove_all(dir_);
   }
+}
+
+TEST_F(ShardChaosTest, ShardedBudgetedCheckpointsMatchPlainRunByteForByte) {
+  // The checkpoint contract holds across budgets and across sharding:
+  // a two-shard run under a 1 MiB budget must leave exactly the
+  // artifacts an unbudgeted single-process run writes, byte for byte —
+  // in particular full (not released-and-empty) name-channel matrices,
+  // which a later unbudgeted --resume would otherwise trust.
+  const std::string plain = CheckpointDir("ckpt_plain");
+  std::vector<std::string> plain_args = AlignArgs(plain);
+  plain_args.push_back("--memory-budget-mb=0");
+  ASSERT_TRUE(RunLargeEa(dataset(), OptionsFromArgs(plain_args)).ok());
+
+  const std::string ckpt = CheckpointDir("ckpt_sharded_budget");
+  std::vector<std::string> args = AlignArgs(ckpt);
+  args.push_back("--memory-budget-mb=1");
+  shard::ShardOptions sharding = FastShardOptions(2, ckpt);
+  sharding.worker_command.push_back("--memory-budget-mb=1");
+  const auto sharded = shard::RunShardedLargeEa(
+      dataset(), OptionsFromArgs(args), sharding);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  const auto expected = CheckpointHashes(plain);
+  EXPECT_EQ(expected.size(), 9u);  // 4 name, partition, 3 batches, fused
+  EXPECT_EQ(expected, CheckpointHashes(ckpt));
+  fs::remove_all(plain);
 }
 
 TEST_F(ShardChaosTest, MoreShardsThanBatchesSpawnsOnlyNonEmptyShards) {
