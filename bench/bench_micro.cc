@@ -95,6 +95,7 @@
 #include "src/sim/sinkhorn.h"
 #include "src/sim/topk_search.h"
 #include "src/simd/simd.h"
+#include "src/stream/tile_store.h"
 #include "src/tune/autotune.h"
 #include "src/tune/tune_table.h"
 
@@ -149,12 +150,13 @@ void BM_LshTopK(benchmark::State& state) {
   L2NormalizeRows(a);
   L2NormalizeRows(b);
   const LshIndex index(b, LshOptions{});
+  const stream::TileMatrix target = stream::TileMatrix::Borrow(b);
   std::vector<EntityId> ids(n);
   std::iota(ids.begin(), ids.end(), 0);
   const TopKOptions options{.k = 50, .metric = SimMetric::kManhattan};
   for (auto _ : state) {
     SparseSimMatrix out(n, n, options.k);
-    LshTopKInto(a, ids, b, ids, index, options, out);
+    LshTopKInto(a, ids, target, ids, index, options, out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * int64_t{n} * n);

@@ -95,19 +95,15 @@ struct LargeEaResult {
   int64_t dag_deferrals = 0;
 };
 
-/// Fingerprint of everything that shapes the numeric result (dataset
-/// shape plus result-affecting options). Checkpoints are stamped with it
-/// so stale artifacts from a different run configuration are rejected.
-uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
-                                  const LargeEaOptions& options);
-
 /// Trains the structure channel's mini-batches somewhere other than the
 /// calling thread pool — the shard orchestrator's supervised worker
 /// processes (src/shard/orchestrator.h). Called by the `structure_train`
 /// operator with the materialised partition and the run's checkpoint
 /// manager; the operator then merges whatever batch blocks the manager
-/// can load. A non-OK status fails the run.
-using StructureTrainer = std::function<Status(
+/// can load. Returns whether it trained any batch — the operator counts
+/// as restored from checkpoint only if it did not. A non-OK status fails
+/// the run.
+using StructureTrainer = std::function<StatusOr<bool>(
     const MiniBatchSet& batches, rt::CheckpointManager& checkpoint)>;
 
 /// Runs LargeEA on `dataset` (dataset.split.train as ψ', possibly empty

@@ -40,32 +40,34 @@ PipelineFingerprints ComputePipelineFingerprints(
   PipelineFingerprints fp;
 
   // Base: the dataset shape and seed splits every operator consumes.
-  // Entity/triple counts + split sizes match the coverage of the legacy
-  // global fingerprint — graph *content* is the caller's identity.
+  // Entity/triple counts + split sizes — graph *content* is the caller's
+  // identity.
   fp.base = rt::Fnv1a64(Printf(
       "largeea-dag-base v1 kg=%d,%zu,%d,%zu train=%zu test=%zu",
       dataset.source.num_entities(), dataset.source.triples().size(),
       dataset.target.num_entities(), dataset.target.triples().size(),
       dataset.split.train.size(), dataset.split.test.size()));
 
-  // SENS: everything ComputeSemanticSimilarity reads.
+  // SENS: everything ComputeSemanticSimilarity reads. "seg=1" stands
+  // where a row-segment count (never result-shaping) used to be, so
+  // artifacts stamped before it was dropped still resume.
   fp.name_semantic = Chain(
       fp.base, "sem",
       Printf("enc=%d,%d,%.9g,%d,%d,%d,%" PRIu64 ",%.9g"
-             " idf=%d topk=%d seg=%d lsh=%d,%d,%d,%d,%" PRIu64 " metric=%d",
+             " idf=%d topk=%d seg=1 lsh=%d,%d,%d,%d,%" PRIu64 " metric=%d",
              sens.encoder.dim, sens.encoder.active_slots_per_token,
              sens.encoder.word_token_weight,
              sens.encoder.tokenizer.ngram_size,
              static_cast<int>(sens.encoder.tokenizer.include_words),
              static_cast<int>(sens.encoder.tokenizer.include_ngrams),
              sens.encoder.seed, sens.encoder.epsilon,
-             static_cast<int>(sens.use_idf), sens.top_k, sens.num_segments,
+             static_cast<int>(sens.use_idf), sens.top_k,
              static_cast<int>(sens.use_lsh), sens.lsh.num_tables,
              sens.lsh.bits_per_table, sens.lsh.probe_radius, sens.lsh.seed,
              static_cast<int>(sens.metric)));
 
-  // STNS: includes levenshtein_threshold, which the legacy global
-  // fingerprint missed (it shapes which candidates survive scoring).
+  // STNS: includes levenshtein_threshold (it shapes which candidates
+  // survive scoring).
   fp.name_string = Chain(
       fp.base, "str",
       Printf("jac=%.9g lev=%.9g bands=%d,%d cap=%d tok=%d,%d,%d"
@@ -150,10 +152,10 @@ void InstallPipelineFingerprints(rt::CheckpointManager& checkpoint,
 rt::CheckpointManager MakePipelineCheckpointManager(
     const EaDataset& dataset, const LargeEaOptions& options,
     const std::string& dir, bool resume) {
-  rt::CheckpointManager checkpoint(
-      dir, LargeEaConfigFingerprint(dataset, options), resume);
-  InstallPipelineFingerprints(checkpoint,
-                              ComputePipelineFingerprints(dataset, options));
+  const PipelineFingerprints fingerprints =
+      ComputePipelineFingerprints(dataset, options);
+  rt::CheckpointManager checkpoint(dir, fingerprints.fused, resume);
+  InstallPipelineFingerprints(checkpoint, fingerprints);
   return checkpoint;
 }
 

@@ -215,7 +215,8 @@ StatusOr<StructureChannelResult> TrainStructureChannel(
     {
       LARGEEA_TRACE_SPAN("structure/topk");
       const auto search =
-          MakeSimilaritySearch(embeddings.target, local_target.global_ids,
+          MakeSimilaritySearch(stream::TileMatrix::Borrow(embeddings.target),
+                               local_target.global_ids,
                                SimilaritySearchOptions{.topk = topk});
       search->SearchInto(embeddings.source, local_source.global_ids, block);
     }

@@ -239,8 +239,10 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
         "structure_train", {v_batches}, {v_struct},
         all_rows * s.train.dim * 4 * 3 + SimBytes(src_rows, s.top_k),
         [&](NodeContext& ctx) -> Status {
+          bool trained_elsewhere = false;
           if (train_batches) {
-            LARGEEA_RETURN_IF_ERROR(train_batches(state.batches, checkpoint));
+            LARGEEA_ASSIGN_OR_RETURN(trained_elsewhere,
+                                     train_batches(state.batches, checkpoint));
           }
           auto trained = TrainStructureChannel(
               source, target, std::move(state.batches), s, &checkpoint);
@@ -248,12 +250,13 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
           state.result.structure_channel = std::move(trained).value();
           state.result.structure_channel.partition_seconds =
               state.partition_seconds;
-          // "From checkpoint" when every trainable batch resumed.
+          // "From checkpoint" when every trainable batch resumed and no
+          // trainer produced them in this run.
           int32_t trainable = 0;
           for (const MiniBatch& b : state.result.structure_channel.batches) {
             if (StructureBatchTrainable(b)) ++trainable;
           }
-          if (trainable > 0 &&
+          if (!trained_elsewhere && trainable > 0 &&
               state.result.structure_channel.batches_resumed == trainable) {
             ctx.MarkFromCheckpoint();
           }

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
-#include "src/common/macros.h"
 #include "src/sim/similarity_search.h"
 #include "src/stream/stream_context.h"
 
@@ -15,7 +15,6 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
                                           const KnowledgeGraph& target,
                                           const SensOptions& options,
                                           stream::StreamContext* stream_ctx) {
-  LARGEEA_CHECK_GE(options.num_segments, 1);
   SemanticEncoder encoder(options.encoder);
   if (options.use_idf) encoder.FitIdf({&source, &target});
 
@@ -25,58 +24,43 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
       .topk = {.k = options.top_k, .metric = options.metric},
       .use_lsh = options.use_lsh,
       .lsh = options.lsh,
-      .num_segments = options.num_segments,
   };
 
+  // In memory the target embeddings are one resident tile and the
+  // source one block. Under a budget both are cut into budget-sized
+  // tiles: target tiles spill to the store and source blocks are encoded
+  // on the fly, so neither whole-graph embedding matrix ever exists.
+  // Per-name encoding and order-independent top-k make the result
+  // bit-identical either way.
+  const int64_t dim = encoder.dim();
+  stream::TileStore* store = nullptr;
+  int64_t tile_rows = std::max<int64_t>(
+      {1, source.num_entities(), target.num_entities()});
   if (stream_ctx != nullptr) {
-    // Memory-budgeted path: the target embeddings are encoded tile by
-    // tile into the spill store, and source blocks are encoded on the
-    // fly — neither whole-graph embedding matrix ever exists. Per-name
-    // encoding and order-independent top-k make this bit-identical to
-    // the in-memory path below.
-    search_options.prefetch = stream_ctx->options().prefetch;
-    const int64_t dim = encoder.dim();
-    const int64_t tile_rows = stream_ctx->budget().TileRowsFor(
+    store = &stream_ctx->store();
+    tile_rows = stream_ctx->budget().TileRowsFor(
         target.num_entities(), dim * static_cast<int64_t>(sizeof(float)));
-    stream::TileMatrix tiles(&stream_ctx->store(), target.num_entities(), dim,
-                             tile_rows);
-    for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
-      tiles.Append(encoder.EncodeNameRange(
-          target, static_cast<EntityId>(tiles.TileBegin(t)),
-          static_cast<EntityId>(tiles.TileEnd(t))));
-    }
-    const std::unique_ptr<SimilaritySearch> search =
-        MakeStreamedSimilaritySearch(tiles, search_options);
-    for (int64_t sb = 0; sb < source.num_entities(); sb += tile_rows) {
-      const int64_t se =
-          std::min<int64_t>(sb + tile_rows, source.num_entities());
-      const Matrix block = encoder.EncodeNameRange(
-          source, static_cast<EntityId>(sb), static_cast<EntityId>(se));
-      std::vector<EntityId> row_ids(se - sb);
-      std::iota(row_ids.begin(), row_ids.end(), static_cast<EntityId>(sb));
-      search->SearchInto(block, row_ids, m_se);
-    }
-    m_se.RefreshMemoryTracking();
-    return m_se;
+    search_options.prefetch = stream_ctx->options().prefetch;
   }
-
-  const Matrix source_emb = encoder.EncodeAllNames(source);
-  const Matrix target_emb = encoder.EncodeAllNames(target);
+  stream::TileMatrix tiles(store, target.num_entities(), dim, tile_rows);
+  for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+    tiles.Append(encoder.EncodeNameRange(
+        target, static_cast<EntityId>(tiles.TileBegin(t)),
+        static_cast<EntityId>(tiles.TileEnd(t))));
+  }
   std::vector<EntityId> col_ids(target.num_entities());
   std::iota(col_ids.begin(), col_ids.end(), 0);
   const std::unique_ptr<SimilaritySearch> search =
-      MakeSimilaritySearch(target_emb, col_ids, search_options);
+      MakeSimilaritySearch(std::move(tiles), col_ids, search_options);
 
-  // Source segments are scored one at a time; the search object applies
-  // the same segmentation to the target (exact path) or its LSH index.
-  // Segmented accumulation yields exactly the unsegmented result.
-  const int64_t src_step =
-      (source_emb.rows() + options.num_segments - 1) / options.num_segments;
-  for (int64_t sb = 0; sb < source_emb.rows(); sb += src_step) {
-    const int64_t se = std::min(sb + src_step, source_emb.rows());
+  for (int64_t sb = 0; sb < source.num_entities(); sb += tile_rows) {
+    const int64_t se =
+        std::min<int64_t>(sb + tile_rows, source.num_entities());
+    const Matrix block = encoder.EncodeNameRange(
+        source, static_cast<EntityId>(sb), static_cast<EntityId>(se));
     std::vector<EntityId> row_ids(se - sb);
     std::iota(row_ids.begin(), row_ids.end(), static_cast<EntityId>(sb));
-    search->SearchInto(MatrixRowRange(source_emb, sb, se), row_ids, m_se);
+    search->SearchInto(block, row_ids, m_se);
   }
   m_se.RefreshMemoryTracking();
   return m_se;

@@ -144,14 +144,13 @@ Status ServeIndex::Finish() {
   }
   SimilaritySearchOptions search_options;
   search_options.topk.metric = options_.metric;
-  search_options.hnsw = options_.hnsw;
   if (!graph_.has_value()) {
     graph_.emplace(target_embeddings_, options_.metric, options_.hnsw);
   }
   ann_ = MakeHnswSimilaritySearch(target_embeddings_, target_ids_,
                                   search_options, *graph_);
-  exact_ = MakeSimilaritySearch(target_embeddings_, target_ids_,
-                                search_options);
+  exact_ = MakeSimilaritySearch(stream::TileMatrix::Borrow(target_embeddings_),
+                                target_ids_, search_options);
   return OkStatus();
 }
 

@@ -275,8 +275,11 @@ StatusOr<LargeEaResult> RunShardedLargeEa(const EaDataset& dataset,
   merged.structure_channel.drop_failed_batches = shards.degrade_failed_shards;
   auto result = RunLargeEa(
       dataset, merged,
-      [&](const MiniBatchSet& batches, rt::CheckpointManager& checkpoint) {
-        return SuperviseShards(batches, checkpoint, shards, stats);
+      [&](const MiniBatchSet& batches,
+          rt::CheckpointManager& checkpoint) -> StatusOr<bool> {
+        LARGEEA_RETURN_IF_ERROR(
+            SuperviseShards(batches, checkpoint, shards, stats));
+        return stats.workers_launched > 0;
       });
   if (!result.ok()) {
     return result.status().WithContext("shard orchestrator");

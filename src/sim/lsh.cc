@@ -12,11 +12,13 @@
 
 namespace largeea {
 
-LshIndex::LshIndex(int32_t dim, const LshOptions& options)
+LshIndex::LshIndex(int32_t dim, const LshOptions& options,
+                   int64_t expected_rows)
     : dim_(dim), options_(options) {
   LARGEEA_CHECK_GT(options.num_tables, 0);
   LARGEEA_CHECK_GT(options.bits_per_table, 0);
   LARGEEA_CHECK_LE(options.bits_per_table, 32);
+  staged_keys_.reserve(expected_rows * options.num_tables);
   // Hyperplanes depend only on (seed, dim), so one-shot and incremental
   // builds of the same data hash identically.
   Rng rng(options.seed);
@@ -27,12 +29,11 @@ LshIndex::LshIndex(int32_t dim, const LshOptions& options)
 }
 
 LshIndex::LshIndex(const Matrix& data, const LshOptions& options)
-    : LshIndex(static_cast<int32_t>(data.cols()), options) {
+    : LshIndex(static_cast<int32_t>(data.cols()), options, data.rows()) {
   obs::Span build_span("lsh/build_index");
   build_span.AddAttr("num_tables", static_cast<int64_t>(options.num_tables));
   build_span.AddAttr("bits_per_table",
                      static_cast<int64_t>(options.bits_per_table));
-  staged_keys_.reserve(data.rows() * options.num_tables);
   for (int32_t row = 0; row < data.rows(); ++row) {
     Insert(row, data.Row(row));
   }

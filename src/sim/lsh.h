@@ -38,9 +38,11 @@ class LshIndex {
   LshIndex(const Matrix& data, const LshOptions& options);
 
   /// Incremental build: creates an empty index over `dim`-dimensional
-  /// points. Call Insert() for rows 0, 1, 2, ... in order, then
-  /// FinishBuild() before the first Query().
-  LshIndex(int32_t dim, const LshOptions& options);
+  /// points, with staging reserved for `expected_rows` inserts. Call
+  /// Insert() for rows 0, 1, 2, ... in order, then FinishBuild() before
+  /// the first Query().
+  LshIndex(int32_t dim, const LshOptions& options,
+           int64_t expected_rows = 0);
 
   /// Adds row `row` with vector `vec` (length dim()). `row` must equal
   /// num_rows(), and FinishBuild() must not have run yet.

@@ -1,7 +1,6 @@
 #include "src/sim/similarity_search.h"
 
-#include <algorithm>
-#include <optional>
+#include <ranges>
 #include <utility>
 #include <vector>
 
@@ -10,123 +9,134 @@
 #include "src/par/parallel_for.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
-#include "src/stream/tile_store.h"
 #include "src/tune/tune_table.h"
 
 namespace largeea {
 namespace {
 
-/// Shared tail of every QueryTopK: drain a heap of (score, target row)
-/// pairs into {entity id, score} entries in deterministic order.
-void DrainToEntries(TopKHeap& heap, std::span<const EntityId> col_ids,
-                    std::vector<SimEntry>& out) {
-  std::vector<std::pair<float, int32_t>> drained;
-  heap.Drain(drained);
-  out.clear();
-  out.reserve(drained.size());
-  for (const auto& [score, j] : drained) {
-    out.push_back({col_ids.empty() ? static_cast<EntityId>(j) : col_ids[j],
-                   score});
+/// The target of the tiled methods (exact and LSH): its tiles and
+/// their column ids.
+struct TiledTarget {
+  TiledTarget(stream::TileMatrix target, std::span<const EntityId> ids)
+      : tiles(std::move(target)), col_ids(ids) {
+    LARGEEA_CHECK(tiles.complete());
+    LARGEEA_CHECK_EQ(static_cast<size_t>(tiles.rows()), col_ids.size());
   }
-}
+
+  /// The single-query scan: scores `query` against target rows `rows`
+  /// (ascending) on the calling thread and writes the top k as
+  /// {entity id, score} in deterministic order. Tile pins are
+  /// thread-safe, so concurrent callers need no lock.
+  template <typename Rows>
+  void QueryRows(std::span<const float> query, int32_t k, SimMetric metric,
+                 const Rows& rows, std::vector<SimEntry>& out) const {
+    LARGEEA_CHECK_EQ(static_cast<int64_t>(query.size()), tiles.cols());
+    const simd::KernelTable& kt = simd::Kernels();
+    stream::TileRowCursor cursor(tiles);
+    TopKHeap heap(k);
+    for (const int32_t j : rows) {
+      heap.Offer(j, ScorePair(kt, query.data(), cursor.Row(j), tiles.cols(),
+                              metric));
+    }
+    std::vector<std::pair<float, int32_t>> drained;
+    heap.Drain(drained);
+    out.clear();
+    out.reserve(drained.size());
+    for (const auto& [score, j] : drained) out.push_back({col_ids[j], score});
+  }
+
+  stream::TileMatrix tiles;
+  std::span<const EntityId> col_ids;
+};
 
 class ExactSearch : public SimilaritySearch {
  public:
-  ExactSearch(const Matrix& target, std::span<const EntityId> col_ids,
+  ExactSearch(stream::TileMatrix target, std::span<const EntityId> col_ids,
               const SimilaritySearchOptions& options)
-      : target_(&target), col_ids_(col_ids), options_(options) {
-    LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
-    LARGEEA_CHECK_GE(options.num_segments, 1);
-  }
+      : target_(std::move(target), col_ids), options_(options) {}
 
   void SearchInto(const MatrixRowRange& source,
                   std::span<const EntityId> row_ids,
                   SparseSimMatrix& out) const override {
-    if (target_->rows() == 0) return;
-    // One target segment hot at a time; segmentation cannot change the
-    // kept set (order-independent top-k), only the working set.
-    const int64_t step =
-        (target_->rows() + options_.num_segments - 1) / options_.num_segments;
-    for (int64_t tb = 0; tb < target_->rows(); tb += step) {
-      const int64_t te = std::min(tb + step, target_->rows());
-      ExactTopKInto(source, row_ids, MatrixRowRange(*target_, tb, te),
-                    col_ids_.subspan(tb, te - tb), options_.topk, out);
+    // Tiles outer, so each tile is pinned once per call. Tiles partition
+    // the target's rows and the kept top-k is independent of candidate
+    // order, so accumulating over tiles equals one pass over the whole
+    // target.
+    const stream::TileMatrix& tiles = target_.tiles;
+    for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+      if (options_.prefetch) tiles.Prefetch(t + 1);
+      const std::shared_ptr<const Matrix> tile = tiles.Tile(t);
+      ExactTopKInto(source, row_ids, *tile,
+                    target_.col_ids.subspan(tiles.TileBegin(t), tile->rows()),
+                    options_.topk, out);
     }
   }
 
   void QueryTopK(std::span<const float> query, int32_t k,
                  std::vector<SimEntry>& out) const override {
-    LARGEEA_CHECK_EQ(static_cast<int64_t>(query.size()), target_->cols());
-    const simd::KernelTable& kt = simd::Kernels();
-    TopKHeap heap(k);
-    for (int64_t j = 0; j < target_->rows(); ++j) {
-      heap.Offer(static_cast<int32_t>(j),
-                 ScorePair(kt, query.data(), target_->Row(j), target_->cols(),
-                           options_.topk.metric));
-    }
-    DrainToEntries(heap, col_ids_, out);
+    target_.QueryRows(
+        query, k, options_.topk.metric,
+        std::views::iota(0, static_cast<int32_t>(target_.tiles.rows())), out);
   }
 
  private:
-  const Matrix* target_;
-  std::span<const EntityId> col_ids_;
+  TiledTarget target_;
   SimilaritySearchOptions options_;
 };
 
 class LshSearch : public SimilaritySearch {
  public:
-  LshSearch(const Matrix& target, std::span<const EntityId> col_ids,
+  LshSearch(stream::TileMatrix target, std::span<const EntityId> col_ids,
             const SimilaritySearchOptions& options)
-      : target_(&target),
-        col_ids_(col_ids),
+      : target_(std::move(target), col_ids),
         options_(options),
-        index_(target, options.lsh) {
-    LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
+        index_(static_cast<int32_t>(target_.tiles.cols()), options.lsh,
+               target_.tiles.rows()) {
+    // Incremental build, one tile pinned at a time. Rows arrive in
+    // ascending order, so the index is the same however the target is
+    // tiled.
+    obs::Span build_span("lsh/build_index");
+    build_span.AddAttr("num_tables",
+                       static_cast<int64_t>(options.lsh.num_tables));
+    build_span.AddAttr("bits_per_table",
+                       static_cast<int64_t>(options.lsh.bits_per_table));
+    const stream::TileMatrix& tiles = target_.tiles;
+    for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+      if (options.prefetch) tiles.Prefetch(t + 1);
+      const std::shared_ptr<const Matrix> tile = tiles.Tile(t);
+      const int32_t base = static_cast<int32_t>(tiles.TileBegin(t));
+      for (int64_t r = 0; r < tile->rows(); ++r) {
+        index_.Insert(base + static_cast<int32_t>(r), tile->Row(r));
+      }
+    }
+    index_.FinishBuild();
   }
 
   void SearchInto(const MatrixRowRange& source,
                   std::span<const EntityId> row_ids,
                   SparseSimMatrix& out) const override {
-    LshTopKInto(source, row_ids, *target_, col_ids_, index_, options_.topk,
-                out);
+    LshTopKInto(source, row_ids, target_.tiles, target_.col_ids, index_,
+                options_.topk, out);
   }
 
   void QueryTopK(std::span<const float> query, int32_t k,
                  std::vector<SimEntry>& out) const override {
-    LARGEEA_CHECK_EQ(static_cast<int64_t>(query.size()), target_->cols());
-    const simd::KernelTable& kt = simd::Kernels();
     std::vector<int32_t> candidates;
-    index_.Query(query.data(), candidates);
-    TopKHeap heap(k);
-    for (const int32_t j : candidates) {
-      heap.Offer(j, ScorePair(kt, query.data(), target_->Row(j),
-                              target_->cols(), options_.topk.metric));
-    }
-    DrainToEntries(heap, col_ids_, out);
+    index_.Query(query.data(), candidates);  // ascending
+    target_.QueryRows(query, k, options_.topk.metric, candidates, out);
   }
 
  private:
-  const Matrix* target_;
-  std::span<const EntityId> col_ids_;
+  TiledTarget target_;
   SimilaritySearchOptions options_;
   LshIndex index_;
 };
 
+/// Wraps a graph built (or deserialised) elsewhere — the serving layer
+/// loads graphs from the index artifact instead of rebuilding. The
+/// index stays owned by the caller.
 class HnswSearch : public SimilaritySearch {
  public:
-  HnswSearch(const Matrix& target, std::span<const EntityId> col_ids,
-             const SimilaritySearchOptions& options)
-      : target_(&target),
-        col_ids_(col_ids),
-        options_(options),
-        owned_index_(HnswIndex(target, options.topk.metric, options.hnsw)),
-        index_(&*owned_index_) {
-    LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
-  }
-
-  /// Wraps an index built (or deserialised) elsewhere — the serving
-  /// layer loads graphs from the index artifact instead of rebuilding.
-  /// `index` stays owned by the caller.
   HnswSearch(const Matrix& target, std::span<const EntityId> col_ids,
              const SimilaritySearchOptions& options, const HnswIndex& index)
       : target_(&target),
@@ -172,134 +182,24 @@ class HnswSearch : public SimilaritySearch {
   const Matrix* target_;
   std::span<const EntityId> col_ids_;
   SimilaritySearchOptions options_;
-  std::optional<HnswIndex> owned_index_;  ///< engaged on the build path
-  const HnswIndex* index_;                ///< the graph actually queried
-};
-
-class StreamedExactSearch : public SimilaritySearch {
- public:
-  StreamedExactSearch(const stream::TileMatrix& target,
-                      const SimilaritySearchOptions& options)
-      : target_(&target), options_(options) {}
-
-  void SearchInto(const MatrixRowRange& source,
-                  std::span<const EntityId> row_ids,
-                  SparseSimMatrix& out) const override {
-    ExactTopKStreamedInto(source, row_ids, *target_, options_.prefetch,
-                          options_.topk, out);
-  }
-
-  void QueryTopK(std::span<const float> query, int32_t k,
-                 std::vector<SimEntry>& out) const override {
-    LARGEEA_CHECK_EQ(static_cast<int64_t>(query.size()), target_->cols());
-    const simd::KernelTable& kt = simd::Kernels();
-    TopKHeap heap(k);
-    // Tile pins are thread-safe; accumulation over tiles equals one
-    // pass over the whole target (order-independent top-k).
-    for (int64_t t = 0; t < target_->num_tiles(); ++t) {
-      const std::shared_ptr<const Matrix> tile = target_->Tile(t);
-      const int32_t base = static_cast<int32_t>(target_->TileBegin(t));
-      for (int64_t r = 0; r < tile->rows(); ++r) {
-        heap.Offer(base + static_cast<int32_t>(r),
-                   ScorePair(kt, query.data(), tile->Row(r), tile->cols(),
-                             options_.topk.metric));
-      }
-    }
-    DrainToEntries(heap, {}, out);
-  }
-
- private:
-  const stream::TileMatrix* target_;
-  SimilaritySearchOptions options_;
-};
-
-class StreamedLshSearch : public SimilaritySearch {
- public:
-  StreamedLshSearch(const stream::TileMatrix& target,
-                    const SimilaritySearchOptions& options)
-      : target_(&target),
-        options_(options),
-        index_(static_cast<int32_t>(target.cols()), options.lsh) {
-    // Incremental build, one tile resident at a time. Rows arrive in
-    // ascending order exactly as in the one-shot constructor, so the
-    // finished index is identical to LshIndex(full_target, options).
-    obs::Span build_span("lsh/build_index");
-    build_span.AddAttr("streamed", int64_t{1});
-    for (int64_t t = 0; t < target.num_tiles(); ++t) {
-      if (options.prefetch) target.Prefetch(t + 1);
-      const std::shared_ptr<const Matrix> tile = target.Tile(t);
-      const int32_t base = static_cast<int32_t>(target.TileBegin(t));
-      for (int64_t r = 0; r < tile->rows(); ++r) {
-        index_.Insert(base + static_cast<int32_t>(r), tile->Row(r));
-      }
-    }
-    index_.FinishBuild();
-  }
-
-  void SearchInto(const MatrixRowRange& source,
-                  std::span<const EntityId> row_ids,
-                  SparseSimMatrix& out) const override {
-    LshTopKStreamedInto(source, row_ids, *target_, index_, options_.topk,
-                        out);
-  }
-
-  void QueryTopK(std::span<const float> query, int32_t k,
-                 std::vector<SimEntry>& out) const override {
-    LARGEEA_CHECK_EQ(static_cast<int64_t>(query.size()), target_->cols());
-    const simd::KernelTable& kt = simd::Kernels();
-    const int64_t tile_rows = target_->tile_rows();
-    std::vector<int32_t> candidates;
-    index_.Query(query.data(), candidates);
-    TopKHeap heap(k);
-    // Candidates arrive sorted, so each needed tile is pinned once.
-    std::shared_ptr<const Matrix> tile;
-    int64_t tile_idx = -1;
-    for (const int32_t j : candidates) {
-      const int64_t t = j / tile_rows;
-      if (t != tile_idx) {
-        tile = target_->Tile(t);
-        tile_idx = t;
-      }
-      heap.Offer(j, ScorePair(kt, query.data(), tile->Row(j - t * tile_rows),
-                              tile->cols(), options_.topk.metric));
-    }
-    DrainToEntries(heap, {}, out);
-  }
-
- private:
-  const stream::TileMatrix* target_;
-  SimilaritySearchOptions options_;
-  LshIndex index_;
+  const HnswIndex* index_;
 };
 
 }  // namespace
 
 std::unique_ptr<SimilaritySearch> MakeSimilaritySearch(
-    const Matrix& target, std::span<const EntityId> col_ids,
+    stream::TileMatrix target, std::span<const EntityId> col_ids,
     const SimilaritySearchOptions& options) {
-  if (options.use_hnsw) {
-    return std::make_unique<HnswSearch>(target, col_ids, options);
-  }
   if (options.use_lsh) {
-    return std::make_unique<LshSearch>(target, col_ids, options);
+    return std::make_unique<LshSearch>(std::move(target), col_ids, options);
   }
-  return std::make_unique<ExactSearch>(target, col_ids, options);
+  return std::make_unique<ExactSearch>(std::move(target), col_ids, options);
 }
 
 std::unique_ptr<SimilaritySearch> MakeHnswSimilaritySearch(
     const Matrix& target, std::span<const EntityId> col_ids,
     const SimilaritySearchOptions& options, const HnswIndex& index) {
   return std::make_unique<HnswSearch>(target, col_ids, options, index);
-}
-
-std::unique_ptr<SimilaritySearch> MakeStreamedSimilaritySearch(
-    const stream::TileMatrix& target, const SimilaritySearchOptions& options) {
-  LARGEEA_CHECK(target.complete());
-  LARGEEA_CHECK(!options.use_hnsw);  // HNSW needs the full matrix resident
-  if (options.use_lsh) {
-    return std::make_unique<StreamedLshSearch>(target, options);
-  }
-  return std::make_unique<StreamedExactSearch>(target, options);
 }
 
 }  // namespace largeea

@@ -1,21 +1,22 @@
 // Unified top-k similarity search over a fixed target set.
 //
-// Exact blocked search, approximate LSH search, the HNSW graph index,
-// and the memory-budgeted streamed variants all answer the same
-// question — "which target rows score highest?" — so callers select a
-// strategy through options instead of branching on `use_lsh` at every
-// site. A SimilaritySearch is built once per target (the expensive
-// part: LSH/HNSW index construction, tile layout) and then queried two
-// ways:
+// Exact blocked search, approximate LSH search and the HNSW graph index
+// all answer the same question — "which target rows score highest?" —
+// so callers select a strategy through options instead of branching on
+// `use_lsh` at every site. Exact and LSH search a stream::TileMatrix:
+// an in-memory target is one resident tile, a memory-budgeted one is
+// spilled tiles, and each method has one implementation for both. A
+// SimilaritySearch is built once per target (the expensive part: the
+// LSH/HNSW index) and then queried two ways:
 //   * SearchInto — the batch path: score a block of source rows,
 //     accumulate per-row top-k into a SparseSimMatrix;
 //   * QueryTopK — the serving path: answer one query vector, now, on
 //     the calling thread.
-// Every strategy keeps the library's determinism contract: exact paths
-// are bit-identical regardless of segmentation/threads, approximate
-// paths (LSH, HNSW) produce a deterministic candidate set whose kept
-// entries carry exact scores, so swapping strategies changes recall and
-// speed, never the correctness of any entry that is returned.
+// Every strategy keeps the library's determinism contract: exact search
+// is bit-identical regardless of tiling/threads, approximate search
+// (LSH, HNSW) produces a deterministic candidate set whose kept entries
+// carry exact scores, so swapping strategies changes recall and speed,
+// never the correctness of any entry that is returned.
 #ifndef LARGEEA_SIM_SIMILARITY_SEARCH_H_
 #define LARGEEA_SIM_SIMILARITY_SEARCH_H_
 
@@ -29,12 +30,9 @@
 #include "src/sim/lsh.h"
 #include "src/sim/sparse_sim.h"
 #include "src/sim/topk_search.h"
+#include "src/stream/tile_store.h"
 
 namespace largeea {
-
-namespace stream {
-class TileMatrix;
-}  // namespace stream
 
 /// Strategy selection for MakeSimilaritySearch.
 struct SimilaritySearchOptions {
@@ -43,15 +41,8 @@ struct SimilaritySearchOptions {
   /// of scoring every target row (the DBP1M-tier setting).
   bool use_lsh = false;
   LshOptions lsh;
-  /// Approximate candidates from an HNSW graph walk — the serving-tier
-  /// setting: single-query latency is near-logarithmic in target size
-  /// instead of a full scan. Takes precedence over use_lsh.
-  bool use_hnsw = false;
-  HnswOptions hnsw;
-  /// Exact in-memory path: the target is scored in this many row
-  /// segments so only one block is hot at a time (no effect on results).
-  int32_t num_segments = 1;
-  /// Streamed path: prefetch the next tile while the current one scores.
+  /// Spilled targets: prefetch the next tile while the current one is
+  /// read.
   bool prefetch = true;
 };
 
@@ -81,12 +72,12 @@ class SimilaritySearch {
                          std::vector<SimEntry>& out) const = 0;
 };
 
-/// In-memory target: exact segmented search, LSH when `options.use_lsh`,
-/// or an HNSW graph when `options.use_hnsw` (index built here, over all
-/// target rows). `col_ids[j]` is the entity id of target row j; the
-/// caller keeps `target` and `col_ids` alive for the search's lifetime.
+/// Exact search, or LSH when `options.use_lsh` (index built here, one
+/// tile at a time), over a complete tiled target. `col_ids[j]` is the
+/// entity id of target row j. The caller keeps `col_ids`, and a
+/// borrowed target or its TileStore, alive for the search's lifetime.
 std::unique_ptr<SimilaritySearch> MakeSimilaritySearch(
-    const Matrix& target, std::span<const EntityId> col_ids,
+    stream::TileMatrix target, std::span<const EntityId> col_ids,
     const SimilaritySearchOptions& options);
 
 /// Wraps an already-built HNSW graph (e.g. deserialised from a serve
@@ -94,16 +85,10 @@ std::unique_ptr<SimilaritySearch> MakeSimilaritySearch(
 /// the batch interface without rebuilding the graph. `index` is
 /// borrowed — the caller keeps it (and `target`, which it was built
 /// over with `options.topk.metric`) alive for the search's lifetime.
+/// HNSW walks the whole matrix, so its target is always resident.
 std::unique_ptr<SimilaritySearch> MakeHnswSimilaritySearch(
     const Matrix& target, std::span<const EntityId> col_ids,
     const SimilaritySearchOptions& options, const HnswIndex& index);
-
-/// Tiled target in a TileStore (the memory-budgeted path). Column ids
-/// are the target's absolute row indices. With `options.use_lsh` the
-/// LSH index is built incrementally, one tile resident at a time.
-/// (HNSW needs the full matrix resident; it has no streamed variant.)
-std::unique_ptr<SimilaritySearch> MakeStreamedSimilaritySearch(
-    const stream::TileMatrix& target, const SimilaritySearchOptions& options);
 
 }  // namespace largeea
 

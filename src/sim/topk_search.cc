@@ -104,48 +104,28 @@ SparseSimMatrix ExactTopK(const Matrix& source, const Matrix& target,
 
 namespace {
 
-// Target-row accessors for the block-swept LSH kernel below. Each
-// ParallelFor chunk works on its own copy, so the tiled accessor's pin
-// is chunk-private.
-struct ResidentRows {
-  const Matrix* target;
-  const float* Row(int32_t j) const { return target->Row(j); }
-};
-
-struct TiledRows {
-  const stream::TileMatrix* target;
-  std::shared_ptr<const Matrix> tile = nullptr;
-  int64_t tile_idx = -1;
-
-  // The sweep visits rows ascending, so each needed tile is pinned once
-  // per block.
-  const float* Row(int32_t j) {
-    const int64_t t = j / target->tile_rows();
-    if (t != tile_idx) {
-      tile = target->Tile(t);
-      tile_idx = t;
-    }
-    return tile->Row(j - t * target->tile_rows());
-  }
-};
-
 // Source rows per block: one bit each in a uint32_t mask word.
 constexpr int32_t kBlockRows = 32;
 
-// Shared body of LshTopKInto and LshTopKStreamedInto. Each block of up
-// to 32 source rows marks its candidates in a per-chunk mask (one word
-// per target row, bit b = block row b), then one ascending sweep scores
-// every marked (row, target) pair and clears the words it read. Each
-// target row is thus loaded once per block instead of once per
-// (row, candidate), and every row still sees exactly Query()'s
-// candidate set, offered in ascending target id — so the kept top-k and
-// the output bytes equal the per-row scan.
-template <typename Rows>
-void LshTopKBlocked(const MatrixRowRange& source,
-                    std::span<const EntityId> row_ids, Rows target_rows,
-                    std::span<const EntityId> col_ids, const LshIndex& index,
-                    const TopKOptions& options, SparseSimMatrix& out) {
+}  // namespace
+
+// Each block of up to 32 source rows marks its candidates in a
+// per-chunk mask (one word per target row, bit b = block row b), then
+// one ascending sweep scores every marked (row, target) pair and clears
+// the words it read. Each target row is thus loaded once per block
+// instead of once per (row, candidate), and every row still sees
+// exactly Query()'s candidate set, offered in ascending target id — so
+// the kept top-k and the output bytes equal the per-row scan.
+void LshTopKInto(const MatrixRowRange& source,
+                 std::span<const EntityId> row_ids,
+                 const stream::TileMatrix& target,
+                 std::span<const EntityId> col_ids, const LshIndex& index,
+                 const TopKOptions& options, SparseSimMatrix& out) {
+  LARGEEA_CHECK(target.complete());
+  LARGEEA_CHECK_EQ(source.cols(), target.cols());
   LARGEEA_CHECK_EQ(source.cols(), index.dim());
+  LARGEEA_CHECK_EQ(target.rows(), index.num_rows());
+  LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
   LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
   const int64_t dim = source.cols();
   const int32_t num_targets = index.num_rows();
@@ -169,7 +149,8 @@ void LshTopKBlocked(const MatrixRowRange& source,
       kBlockRows * kBlockRows;
   par::ParallelFor(
       0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
-        Rows targets = target_rows;
+        // Chunk-private cursor: it holds the pin of the tile it read last.
+        stream::TileRowCursor targets(target);
         // Chunk-private mask: 4 bytes per target row. Every sweep
         // zeroes what it reads, so each block starts from a clear mask.
         std::vector<uint32_t> mask(num_targets, 0);
@@ -216,52 +197,6 @@ void LshTopKBlocked(const MatrixRowRange& source,
   auto& registry = obs::MetricsRegistry::Get();
   registry.GetCounter("topk.lsh.rows").Add(source.rows());
   registry.GetCounter("topk.lsh.candidates_scanned").Add(candidates_scanned);
-}
-
-}  // namespace
-
-void LshTopKInto(const MatrixRowRange& source,
-                 std::span<const EntityId> row_ids, const Matrix& target,
-                 std::span<const EntityId> col_ids, const LshIndex& index,
-                 const TopKOptions& options, SparseSimMatrix& out) {
-  LARGEEA_CHECK_EQ(source.cols(), target.cols());
-  LARGEEA_CHECK_EQ(target.rows(), index.num_rows());
-  LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
-  LshTopKBlocked(source, row_ids, ResidentRows{&target}, col_ids, index,
-                 options, out);
-}
-
-void ExactTopKStreamedInto(const MatrixRowRange& source,
-                           std::span<const EntityId> row_ids,
-                           const stream::TileMatrix& target, bool prefetch,
-                           const TopKOptions& options, SparseSimMatrix& out) {
-  LARGEEA_CHECK(target.complete());
-  LARGEEA_CHECK_EQ(source.cols(), target.cols());
-  // Tiles partition the target's rows, and the kept top-k per source row
-  // is independent of candidate order, so this accumulation over tiles
-  // equals one pass over the whole target.
-  for (int64_t t = 0; t < target.num_tiles(); ++t) {
-    if (prefetch) target.Prefetch(t + 1);
-    const std::shared_ptr<const Matrix> tile = target.Tile(t);
-    std::vector<EntityId> col_ids(tile->rows());
-    std::iota(col_ids.begin(), col_ids.end(),
-              static_cast<EntityId>(target.TileBegin(t)));
-    ExactTopKInto(source, row_ids, *tile, col_ids, options, out);
-  }
-}
-
-void LshTopKStreamedInto(const MatrixRowRange& source,
-                         std::span<const EntityId> row_ids,
-                         const stream::TileMatrix& target,
-                         const LshIndex& index, const TopKOptions& options,
-                         SparseSimMatrix& out) {
-  LARGEEA_CHECK(target.complete());
-  LARGEEA_CHECK_EQ(source.cols(), target.cols());
-  LARGEEA_CHECK_EQ(target.rows(), index.num_rows());
-  std::vector<EntityId> col_ids(target.rows());
-  std::iota(col_ids.begin(), col_ids.end(), 0);
-  LshTopKBlocked(source, row_ids, TiledRows{&target}, col_ids, index,
-                 options, out);
 }
 
 }  // namespace largeea

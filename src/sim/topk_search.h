@@ -8,7 +8,10 @@
 //     exactly. Used at the DBP1M tier where exact search is too slow.
 //
 // Both write into a global SparseSimMatrix through row/column id maps, so
-// mini-batch results land directly in the full M_s.
+// mini-batch results land directly in the full M_s. A target held in
+// tiles (src/stream/tile_store.h) — spilled under a memory budget, or
+// one resident tile — is searched through SimilaritySearch
+// (src/sim/similarity_search.h), which runs these kernels per tile.
 #ifndef LARGEEA_SIM_TOPK_SEARCH_H_
 #define LARGEEA_SIM_TOPK_SEARCH_H_
 
@@ -38,10 +41,12 @@ struct TopKOptions {
 /// score ties broken towards the smaller column id so the kept set is
 /// independent of scan order. `row_ids[i]` / `col_ids[j]` map view rows
 /// to entity ids in `out`. Both sides take row-range views (a whole
-/// Matrix converts implicitly), so segmented callers pass windows into
-/// the full embedding matrices instead of materialised row copies.
-/// Rows are scanned in parallel on the par::ThreadPool; results are
-/// merged in row order and are bit-identical at any thread count.
+/// Matrix converts implicitly), so callers can pass windows into a
+/// matrix instead of materialised row copies.
+/// Rows are scanned in parallel on the par::ThreadPool; each row's
+/// result is scattered into `out` directly and is bit-identical at any
+/// thread count. Calls over disjoint target tiles accumulate to the
+/// single-call result.
 void ExactTopKInto(const MatrixRowRange& source,
                    std::span<const EntityId> row_ids,
                    const MatrixRowRange& target,
@@ -58,39 +63,19 @@ namespace stream {
 class TileMatrix;
 }  // namespace stream
 
-/// Approximate variant: candidates come from `index` (built over `target`),
-/// then are scored exactly with `options.metric`. Same parallel scan and
-/// deterministic tie-breaking as ExactTopKInto; `target` stays a full
-/// Matrix because LSH candidate ids index its absolute rows. Source rows
-/// are processed in blocks of 32 that share one ascending sweep over the
-/// marked target rows, so each target row is read once per block; the
-/// output equals scoring each row's Query() candidates on their own.
+/// Approximate variant: candidates come from `index` (built over
+/// `target`), then are scored exactly with `options.metric`. Same
+/// parallel scan and deterministic tie-breaking as ExactTopKInto;
+/// `col_ids[j]` maps target row j. Source rows are processed in blocks
+/// of 32 that share one ascending sweep over the marked target rows, so
+/// each target row is read once per block and each needed tile is
+/// pinned once per block; the output equals scoring each row's Query()
+/// candidates on their own, however the target is tiled.
 void LshTopKInto(const MatrixRowRange& source,
-                 std::span<const EntityId> row_ids, const Matrix& target,
+                 std::span<const EntityId> row_ids,
+                 const stream::TileMatrix& target,
                  std::span<const EntityId> col_ids, const LshIndex& index,
                  const TopKOptions& options, SparseSimMatrix& out);
-
-/// Memory-budgeted exact variant: the target lives in a TileStore; tiles
-/// are visited in order (prefetching the next while the current one is
-/// scored) and accumulated into the global per-row top-k. Because the
-/// kept set is a pure function of the candidate set, the result is
-/// bit-identical to one ExactTopKInto over the whole target. Column ids
-/// are the target's absolute row indices.
-void ExactTopKStreamedInto(const MatrixRowRange& source,
-                           std::span<const EntityId> row_ids,
-                           const stream::TileMatrix& target, bool prefetch,
-                           const TopKOptions& options, SparseSimMatrix& out);
-
-/// Memory-budgeted approximate variant: the same block-swept kernel as
-/// LshTopKInto, with candidates from `index` (built over the tiled
-/// target, e.g. incrementally). The sweep is ascending, so each block
-/// pins every needed tile once. Bit-identical to LshTopKInto over the
-/// same target. Column ids are the target's absolute row indices.
-void LshTopKStreamedInto(const MatrixRowRange& source,
-                         std::span<const EntityId> row_ids,
-                         const stream::TileMatrix& target,
-                         const LshIndex& index, const TopKOptions& options,
-                         SparseSimMatrix& out);
 
 }  // namespace largeea
 

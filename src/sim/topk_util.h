@@ -37,7 +37,7 @@ inline float ScorePair(const simd::KernelTable& kt, const float* a,
 // Fixed-capacity top-k accumulator: a binary min-heap on (score, id).
 // Ties at the k-boundary break towards the smaller column id, so the
 // surviving set is a pure function of the candidate set — scan order
-// (and therefore segmentation or thread count) cannot change it.
+// (and therefore tiling or thread count) cannot change it.
 class TopKHeap {
  public:
   explicit TopKHeap(int32_t k) : k_(k) {}

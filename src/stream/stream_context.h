@@ -3,8 +3,8 @@
 // RunLargeEa creates one StreamContext when the resolved memory budget
 // is positive and threads it (as a nullable pointer) through the phases
 // that know how to stream — semantic top-k, NFF fusion, final fusion. A
-// null context means "run in memory", so call sites stay byte-for-byte
-// on the historical path when streaming is off.
+// null context means "run in memory"; either way the results are
+// byte-for-byte the same.
 #ifndef LARGEEA_STREAM_STREAM_CONTEXT_H_
 #define LARGEEA_STREAM_STREAM_CONTEXT_H_
 

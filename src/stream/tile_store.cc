@@ -264,30 +264,54 @@ Matrix TileStore::LoadTileFile(const Tile& tile) const {
 TileMatrix::TileMatrix(TileStore* store, int64_t rows, int64_t cols,
                        int64_t tile_rows)
     : store_(store), rows_(rows), cols_(cols), tile_rows_(tile_rows) {
-  LARGEEA_CHECK(store != nullptr);
   LARGEEA_CHECK_GE(rows, 0);
   LARGEEA_CHECK_GE(cols, 0);
   LARGEEA_CHECK_GT(tile_rows, 0);
-  ids_.reserve(static_cast<size_t>(num_tiles()));
+  if (store_ != nullptr) {
+    ids_.reserve(static_cast<size_t>(num_tiles()));
+  } else {
+    resident_.reserve(static_cast<size_t>(num_tiles()));
+  }
+}
+
+TileMatrix TileMatrix::Borrow(const Matrix& m) {
+  TileMatrix tiles(nullptr, m.rows(), m.cols(),
+                   m.rows() > 0 ? m.rows() : 1);
+  // An empty owner aliasing `m`: a pin that never frees it.
+  if (m.rows() > 0) {
+    tiles.resident_.emplace_back(std::shared_ptr<const Matrix>(), &m);
+  }
+  return tiles;
 }
 
 void TileMatrix::Append(Matrix tile) {
-  const int64_t t = static_cast<int64_t>(ids_.size());
+  const int64_t t = appended();
   LARGEEA_CHECK_LT(t, num_tiles());
   LARGEEA_CHECK_EQ(tile.rows(), TileEnd(t) - TileBegin(t));
   LARGEEA_CHECK_EQ(tile.cols(), cols_);
-  ids_.push_back(store_->Put(std::move(tile)));
+  if (store_ != nullptr) {
+    ids_.push_back(store_->Put(std::move(tile)));
+  } else {
+    resident_.push_back(std::make_shared<const Matrix>(std::move(tile)));
+  }
 }
 
 std::shared_ptr<const Matrix> TileMatrix::Tile(int64_t t) const {
   LARGEEA_CHECK_GE(t, 0);
-  LARGEEA_CHECK_LT(t, static_cast<int64_t>(ids_.size()));
-  return store_->Get(ids_[t]);
+  LARGEEA_CHECK_LT(t, appended());
+  return store_ != nullptr ? store_->Get(ids_[t]) : resident_[t];
 }
 
 void TileMatrix::Prefetch(int64_t t) const {
-  if (t < 0 || t >= static_cast<int64_t>(ids_.size())) return;
+  if (store_ == nullptr || t < 0 || t >= appended()) return;
   store_->Prefetch(ids_[t]);
+}
+
+void TileRowCursor::Pin(int64_t j) {
+  const int64_t t = j / target_->tile_rows();
+  tile_ = target_->Tile(t);
+  begin_ = target_->TileBegin(t);
+  end_ = target_->TileEnd(t);
 }
 
 }  // namespace largeea::stream

@@ -115,17 +115,26 @@ class TileStore {
   par::BackgroundWorker prefetcher_{"stream/prefetch"};
 };
 
-/// A logical `rows` x `cols` matrix stored as consecutive row tiles in
-/// a TileStore. Tiles are appended in row order; all tiles span
-/// `tile_rows` rows except possibly the last. Not thread-safe during
-/// Append; read access (Tile/Prefetch) is as thread-safe as the store.
+/// A logical `rows` x `cols` matrix stored as consecutive row tiles.
+/// Tiles are appended in row order; all tiles span `tile_rows` rows
+/// except possibly the last. With a TileStore the tiles spill to it;
+/// without one they stay resident, moved in and never copied — an
+/// in-memory matrix is a one-tile TileMatrix, so every consumer has one
+/// code path for both. Not thread-safe during Append; read access
+/// (Tile/Prefetch) is as thread-safe as the store.
 class TileMatrix {
  public:
   TileMatrix() = default;
+  /// `store` null keeps the appended tiles resident.
   TileMatrix(TileStore* store, int64_t rows, int64_t cols, int64_t tile_rows);
 
-  /// Spills the next tile. Must cover rows [TileBegin(n), TileEnd(n))
-  /// for the current tile count n — enforced by shape checks.
+  /// One resident tile spanning all of `m`, borrowed: the caller keeps
+  /// `m` alive for the TileMatrix's lifetime.
+  static TileMatrix Borrow(const Matrix& m);
+
+  /// Adds the next tile (spilled to the store, or kept resident). Must
+  /// cover rows [TileBegin(n), TileEnd(n)) for the current tile count n
+  /// — enforced by shape checks.
   void Append(Matrix tile);
 
   int64_t rows() const { return rows_; }
@@ -135,9 +144,7 @@ class TileMatrix {
     return rows_ == 0 ? 0 : (rows_ + tile_rows_ - 1) / tile_rows_;
   }
   /// True once every tile has been appended.
-  bool complete() const {
-    return static_cast<int64_t>(ids_.size()) == num_tiles();
-  }
+  bool complete() const { return appended() == num_tiles(); }
 
   int64_t TileBegin(int64_t t) const { return t * tile_rows_; }
   int64_t TileEnd(int64_t t) const {
@@ -147,15 +154,42 @@ class TileMatrix {
 
   /// Pins and returns tile `t`.
   std::shared_ptr<const Matrix> Tile(int64_t t) const;
-  /// Hints that tile `t` is needed soon (no-op out of range).
+  /// Hints that tile `t` is needed soon (no-op out of range or resident).
   void Prefetch(int64_t t) const;
 
  private:
+  int64_t appended() const {
+    return static_cast<int64_t>(store_ != nullptr ? ids_.size()
+                                                  : resident_.size());
+  }
+
   TileStore* store_ = nullptr;
   int64_t rows_ = 0;
   int64_t cols_ = 0;
   int64_t tile_rows_ = 1;
-  std::vector<TileId> ids_;
+  std::vector<TileId> ids_;  ///< spilled tiles, when store_ is set
+  std::vector<std::shared_ptr<const Matrix>> resident_;  ///< otherwise
+};
+
+/// Reads rows of a TileMatrix by absolute index, holding the pin of the
+/// tile it read last. Ascending reads pin each needed tile once, and a
+/// row inside the pinned tile costs no division. One cursor per thread.
+class TileRowCursor {
+ public:
+  explicit TileRowCursor(const TileMatrix& target) : target_(&target) {}
+
+  const float* Row(int64_t j) {
+    if (j < begin_ || j >= end_) Pin(j);
+    return tile_->Row(j - begin_);
+  }
+
+ private:
+  void Pin(int64_t j);
+
+  const TileMatrix* target_;
+  std::shared_ptr<const Matrix> tile_;
+  int64_t begin_ = 0;
+  int64_t end_ = 0;  ///< [begin_, end_) are the pinned tile's rows
 };
 
 }  // namespace largeea::stream

@@ -10,6 +10,7 @@
 
 #include "src/common/flags.h"
 #include "src/core/config.h"
+#include "src/core/pipeline_fingerprint.h"
 #include "src/obs/report.h"
 #include "src/rt/io_util.h"
 #include "src/shard/subprocess.h"
@@ -94,12 +95,29 @@ TEST(ConfigTest, FingerprintSeesConfigBoundStreamFlags) {
   LargeEaOptions direct;
   direct.stream.memory_budget_mb = 32;
   EaDataset empty;
-  EXPECT_EQ(LargeEaConfigFingerprint(empty, flagged->pipeline),
-            LargeEaConfigFingerprint(empty, direct));
+  const PipelineFingerprints budgeted =
+      ComputePipelineFingerprints(empty, flagged->pipeline);
+  const auto same = [](const PipelineFingerprints& a,
+                       const PipelineFingerprints& b) {
+    return a.base == b.base && a.name_semantic == b.name_semantic &&
+           a.name_string == b.name_string && a.name_fused == b.name_fused &&
+           a.name_pseudo_seeds == b.name_pseudo_seeds &&
+           a.effective_seeds == b.effective_seeds &&
+           a.partition == b.partition && a.batch == b.batch &&
+           a.fused == b.fused;
+  };
+  EXPECT_TRUE(same(budgeted, ComputePipelineFingerprints(empty, direct)));
+  // Budget independence (DESIGN.md §14): every artifact is saved in full
+  // under any budget, so no per-node fingerprint may see the budget.
   LargeEaOptions unbudgeted;
   unbudgeted.stream.memory_budget_mb = 0;
-  EXPECT_NE(LargeEaConfigFingerprint(empty, flagged->pipeline),
-            LargeEaConfigFingerprint(empty, unbudgeted));
+  EXPECT_TRUE(same(budgeted, ComputePipelineFingerprints(empty, unbudgeted)));
+  // A result-shaping flag does move them.
+  auto retuned = ConfigFromFlags(
+      MakeFlags({"--memory-budget-mb=32", "--sens-top-k=7"}));
+  ASSERT_TRUE(retuned.ok());
+  EXPECT_FALSE(
+      same(budgeted, ComputePipelineFingerprints(empty, retuned->pipeline)));
 }
 
 TEST(ConfigTest, ReportRoundTripAgreesWithFlags) {

@@ -460,6 +460,15 @@ class ShardChaosTest : public ::testing::Test {
     return hashes;
   }
 
+  /// The structure_train operator's from-checkpoint mark.
+  static bool StructureTrainFromCheckpoint(const LargeEaResult& result) {
+    for (const DagNodeStats& node : result.dag_nodes) {
+      if (node.name == "structure_train") return node.from_checkpoint;
+    }
+    ADD_FAILURE() << "no structure_train node";
+    return false;
+  }
+
   std::string dir_;
   int32_t saved_threads_ = 1;
 
@@ -487,6 +496,8 @@ TEST_F(ShardChaosTest, ShardedRunIsBitIdenticalAtAnyShardCount) {
     ExpectBitIdentical(baseline, *sharded);
     EXPECT_EQ(stats.workers_launched, n);
     EXPECT_EQ(stats.shards_degraded, 0);
+    // The workers trained every batch in this run.
+    EXPECT_FALSE(StructureTrainFromCheckpoint(*sharded));
     fs::remove_all(dir_);
   }
 }
@@ -707,6 +718,7 @@ TEST_F(ShardChaosTest, OrchestratorKilledBeforeMergeResumesWithoutWorkers) {
   ExpectBitIdentical(baseline, *resumed);
   EXPECT_EQ(stats.workers_launched, 0);
   EXPECT_EQ(stats.shards_resumed, 3);
+  EXPECT_TRUE(StructureTrainFromCheckpoint(*resumed));
 }
 
 TEST_F(ShardChaosTest, CliShardedRunReportsShardMetrics) {

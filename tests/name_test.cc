@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -17,6 +19,8 @@
 #include "src/name/semantic_sim.h"
 #include "src/name/string_sim.h"
 #include "src/name/tokenizer.h"
+#include "src/stream/stream_context.h"
+#include "src/stream/stream_options.h"
 
 namespace largeea {
 namespace {
@@ -254,18 +258,35 @@ TEST_F(NameChannelFixture, SensRespectsTopK) {
   }
 }
 
-TEST_F(NameChannelFixture, SensSegmentationDoesNotChangeResults) {
-  SensOptions one;
-  one.num_segments = 1;
-  SensOptions four;
-  four.num_segments = 4;
-  const SparseSimMatrix a = ComputeSemanticSimilarity(
-      dataset().source, dataset().target, one);
-  const SparseSimMatrix b = ComputeSemanticSimilarity(
-      dataset().source, dataset().target, four);
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  for (int32_t r = 0; r < a.num_rows(); ++r) {
-    EXPECT_EQ(a.ArgmaxOfRow(r), b.ArgmaxOfRow(r)) << "row " << r;
+TEST_F(NameChannelFixture, SensTiledBudgetMatchesInMemoryBitForBit) {
+  // Under a tiny budget the target embeddings are spilled tiles and the
+  // source is encoded block by block; in memory each is one tile. Every
+  // kept entry must be the same, bit for bit, for both search methods.
+  for (const bool use_lsh : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "lsh=" << use_lsh);
+    SensOptions options;
+    options.use_lsh = use_lsh;
+    const SparseSimMatrix resident = ComputeSemanticSimilarity(
+        dataset().source, dataset().target, options);
+    stream::StreamOptions budget;
+    budget.memory_budget_mb = 1;
+    stream::StreamContext ctx(stream::ResolveStreamOptions(budget));
+    const SparseSimMatrix tiled = ComputeSemanticSimilarity(
+        dataset().source, dataset().target, options, &ctx);
+    EXPECT_GT(ctx.store().num_tiles(), 2);
+    ASSERT_EQ(resident.num_rows(), tiled.num_rows());
+    EXPECT_GT(resident.TotalEntries(), 0);
+    for (int32_t r = 0; r < resident.num_rows(); ++r) {
+      const auto a = resident.Row(r);
+      const auto b = tiled.Row(r);
+      ASSERT_EQ(a.size(), b.size()) << "row " << r;
+      for (size_t e = 0; e < a.size(); ++e) {
+        EXPECT_EQ(a[e].column, b[e].column) << "row " << r;
+        EXPECT_EQ(std::bit_cast<uint32_t>(a[e].score),
+                  std::bit_cast<uint32_t>(b[e].score))
+            << "row " << r;
+      }
+    }
   }
 }
 

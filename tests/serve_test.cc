@@ -3,6 +3,7 @@
 // target), and the stdin/stdout serve protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -23,6 +24,9 @@
 #include "src/sim/hnsw.h"
 #include "src/sim/similarity_search.h"
 #include "src/sim/topk_util.h"
+#include "src/stream/memory_budget.h"
+#include "src/stream/stream_options.h"
+#include "src/stream/tile_store.h"
 
 namespace largeea {
 namespace {
@@ -270,23 +274,44 @@ TEST(SimilaritySearchTest, QueryTopKMatchesSearchInto) {
   std::iota(col_ids.begin(), col_ids.end(), 0);
   std::vector<EntityId> row_ids(ns);
   std::iota(row_ids.begin(), row_ids.end(), 0);
+  stream::StreamOptions stream_options;
+  stream_options.memory_budget_mb = 1;
+  stream::TileStore store{stream::MemoryBudget(stream_options)};
 
   for (const bool use_lsh : {false, true}) {
-    SimilaritySearchOptions options;
-    options.topk.k = 7;
-    options.use_lsh = use_lsh;
-    const auto search = MakeSimilaritySearch(target, col_ids, options);
-    SparseSimMatrix batch(ns, nt, options.topk.k);
-    search->SearchInto(source, row_ids, batch);
-    std::vector<SimEntry> single;
-    for (int32_t s = 0; s < ns; ++s) {
-      search->QueryTopK(std::span<const float>(source.Row(s), dim),
-                        options.topk.k, single);
-      const auto row = batch.Row(s);
-      ASSERT_EQ(single.size(), row.size()) << "lsh=" << use_lsh;
-      for (size_t i = 0; i < row.size(); ++i) {
-        EXPECT_EQ(single[i].column, row[i].column);
-        EXPECT_EQ(single[i].score, row[i].score);
+    // Resident (one borrowed tile), then spilled tiles of 7 rows.
+    for (const bool tiled : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "lsh=" << use_lsh
+                                      << " tiled=" << tiled);
+      stream::TileMatrix tiles = stream::TileMatrix::Borrow(target);
+      if (tiled) {
+        tiles = stream::TileMatrix(&store, nt, dim, 7);
+        for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+          Matrix block(tiles.TileEnd(t) - tiles.TileBegin(t), dim);
+          for (int64_t r = 0; r < block.rows(); ++r) {
+            std::copy_n(target.Row(tiles.TileBegin(t) + r), dim,
+                        block.Row(r));
+          }
+          tiles.Append(std::move(block));
+        }
+      }
+      SimilaritySearchOptions options;
+      options.topk.k = 7;
+      options.use_lsh = use_lsh;
+      const auto search =
+          MakeSimilaritySearch(std::move(tiles), col_ids, options);
+      SparseSimMatrix batch(ns, nt, options.topk.k);
+      search->SearchInto(source, row_ids, batch);
+      std::vector<SimEntry> single;
+      for (int32_t s = 0; s < ns; ++s) {
+        search->QueryTopK(std::span<const float>(source.Row(s), dim),
+                          options.topk.k, single);
+        const auto row = batch.Row(s);
+        ASSERT_EQ(single.size(), row.size());
+        for (size_t i = 0; i < row.size(); ++i) {
+          EXPECT_EQ(single[i].column, row[i].column);
+          EXPECT_EQ(single[i].score, row[i].score);
+        }
       }
     }
   }

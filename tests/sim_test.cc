@@ -8,6 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <tuple>
 
 #include "src/common/rng.h"
 #include "src/la/ops.h"
@@ -16,6 +19,7 @@
 #include "src/sim/csls.h"
 #include "src/sim/sim_io.h"
 #include "src/sim/lsh.h"
+#include "src/sim/similarity_search.h"
 #include "src/sim/sparse_sim.h"
 #include "src/sim/topk_search.h"
 #include "src/sim/topk_util.h"
@@ -336,7 +340,7 @@ TEST(LshTest, LshTopKFindsPlantedMatches) {
   std::vector<EntityId> ids(n);
   std::iota(ids.begin(), ids.end(), 0);
   SparseSimMatrix out(n, n, 5);
-  LshTopKInto(source, ids, target, ids, index,
+  LshTopKInto(source, ids, stream::TileMatrix::Borrow(target), ids, index,
               TopKOptions{.k = 5, .metric = SimMetric::kManhattan}, out);
   int hits = 0;
   for (int32_t i = 0; i < n; ++i) {
@@ -462,22 +466,29 @@ TEST(LshTest, QueryEqualsBruteForceOracle) {
   }
 }
 
-// The oracle's top-k: each row's oracle candidates scored with ScorePair
-// and kept by TopKHeap, scattered through the same id maps.
+// The oracle's top-k: each row's candidates (every target row for exact
+// search, the brute-force LSH oracle's for LSH) scored with ScorePair and
+// kept by TopKHeap, scattered through the same id maps.
 SparseSimMatrix OracleTopK(const Matrix& source,
                            std::span<const EntityId> row_ids,
                            const Matrix& target,
                            std::span<const EntityId> col_ids,
                            int32_t out_rows, int32_t out_cols,
-                           const LshOracle& oracle,
+                           const LshOracle* oracle,
                            const TopKOptions& options, int64_t& scanned,
                            int64_t& empty_rows) {
   const simd::KernelTable& kt = simd::Kernels();
   SparseSimMatrix out(out_rows, out_cols, options.k);
   TopKHeap heap(options.k);
   std::vector<std::pair<float, int32_t>> drained;
+  std::vector<int32_t> candidates;
   for (int64_t i = 0; i < source.rows(); ++i) {
-    const std::vector<int32_t> candidates = oracle.Candidates(source.Row(i));
+    if (oracle != nullptr) {
+      candidates = oracle->Candidates(source.Row(i));
+    } else {
+      candidates.resize(target.rows());
+      std::iota(candidates.begin(), candidates.end(), 0);
+    }
     scanned += static_cast<int64_t>(candidates.size());
     if (candidates.empty()) ++empty_rows;
     for (const int32_t j : candidates) {
@@ -520,30 +531,117 @@ int64_t CountTies(const SparseSimMatrix& m) {
   return ties;
 }
 
-class LshTopKOracleTest : public testing::Test {
+enum class SearchMethod { kExact, kLsh };
+enum class TargetLayout { kResident, kTiled };
+
+// Every top-k path against a brute-force oracle, through the one
+// SimilaritySearch implementation per method: exact or LSH, over a
+// resident target or one tiled through a real TileStore (150 rows in
+// tiles of 40, so the last tile is short, each spilled to disk), at 1, 2
+// and 8 threads. Column ids are non-identity (ascending, gapped) and row
+// ids interleaved, as in the structure channel's local-to-global maps.
+class TopKOracleTest
+    : public testing::TestWithParam<
+          std::tuple<SearchMethod, TargetLayout, int>> {
  protected:
   void SetUp() override {
     saved_threads_ = par::ThreadPool::Get().num_threads();
+    par::ThreadPool::Get().SetNumThreads(std::get<2>(GetParam()));
   }
   void TearDown() override {
     par::ThreadPool::Get().SetNumThreads(saved_threads_);
   }
 
-  template <typename Body>
-  void ForEachThreadCount(Body&& body) {
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE(testing::Message() << "threads=" << threads);
-      par::ThreadPool::Get().SetNumThreads(threads);
-      body();
+  static bool lsh() { return std::get<0>(GetParam()) == SearchMethod::kLsh; }
+
+  // `target` as the parameter's layout: borrowed as one resident tile,
+  // or copied tile by tile into `store`.
+  static stream::TileMatrix Layout(const Matrix& target,
+                                   stream::TileStore& store) {
+    if (std::get<1>(GetParam()) == TargetLayout::kResident) {
+      return stream::TileMatrix::Borrow(target);
+    }
+    stream::TileMatrix tiles(&store, target.rows(), target.cols(), 40);
+    for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+      Matrix block(tiles.TileEnd(t) - tiles.TileBegin(t), target.cols());
+      for (int64_t r = 0; r < block.rows(); ++r) {
+        std::copy_n(target.Row(tiles.TileBegin(t) + r), target.cols(),
+                    block.Row(r));
+      }
+      tiles.Append(std::move(block));
+    }
+    return tiles;
+  }
+
+  // Searches `source` against `target` and compares SearchInto, the
+  // scanned-candidate counter and QueryTopK with the oracle's top-k.
+  void ExpectMatchesOracle(const Matrix& source, const Matrix& target,
+                           const LshOptions& lsh_options,
+                           const TopKOptions& topk, int64_t& ties,
+                           int64_t& empty_rows) {
+    const int64_t rows = source.rows();
+    std::vector<EntityId> row_ids(rows);
+    for (int64_t i = 0; i < rows; ++i) row_ids[i] = 2 * i + 1;
+    std::vector<EntityId> col_ids(target.rows());
+    for (int64_t j = 0; j < target.rows(); ++j) {
+      col_ids[j] = 2 * j + 3;
+    }
+    const int32_t out_rows = static_cast<int32_t>(2 * rows + 2);
+    const int32_t out_cols = static_cast<int32_t>(2 * target.rows() + 3);
+
+    const std::optional<LshOracle> oracle =
+        lsh() ? std::optional<LshOracle>(std::in_place, target, lsh_options)
+              : std::nullopt;
+    int64_t want_scanned = 0;
+    const SparseSimMatrix want = OracleTopK(
+        source, row_ids, target, col_ids, out_rows, out_cols,
+        oracle ? &*oracle : nullptr, topk, want_scanned, empty_rows);
+    ties += CountTies(want);
+
+    stream::StreamOptions stream_options;
+    stream_options.memory_budget_mb = 1;
+    stream::TileStore store{stream::MemoryBudget(stream_options)};
+    auto& registry = obs::MetricsRegistry::Get();
+    const int64_t spilled_before =
+        registry.GetCounter("stream.spill.tiles").Value();
+    const auto search = MakeSimilaritySearch(
+        Layout(target, store), col_ids,
+        SimilaritySearchOptions{
+            .topk = topk, .use_lsh = lsh(), .lsh = lsh_options});
+    EXPECT_EQ(registry.GetCounter("stream.spill.tiles").Value() -
+                  spilled_before,
+              store.num_tiles());
+
+    const char* scanned_counter = lsh() ? "topk.lsh.candidates_scanned"
+                                        : "topk.exact.candidates_scanned";
+    const int64_t scanned_before =
+        registry.GetCounter(scanned_counter).Value();
+    const int64_t queries_before = registry.GetCounter("lsh.queries").Value();
+    SparseSimMatrix got(out_rows, out_cols, topk.k);
+    search->SearchInto(source, row_ids, got);
+    ExpectSameEntries(want, got);
+    EXPECT_EQ(registry.GetCounter(scanned_counter).Value() - scanned_before,
+              want_scanned);
+    if (lsh()) {
+      EXPECT_EQ(registry.GetCounter("lsh.queries").Value() - queries_before,
+                rows);
+    }
+
+    std::vector<SimEntry> single;
+    for (int64_t i = 0; i < rows; ++i) {
+      search->QueryTopK(std::span<const float>(source.Row(i), source.cols()),
+                        topk.k, single);
+      const auto row = want.Row(row_ids[i]);
+      ASSERT_EQ(single.size(), row.size()) << "query " << i;
+      for (size_t e = 0; e < row.size(); ++e) {
+        EXPECT_EQ(single[e].column, row[e].column) << "query " << i;
+        EXPECT_EQ(single[e].score, row[e].score) << "query " << i;
+      }
     }
   }
 
-  // Source row counts straddling the 32-row block. Up to 2048 rows the
-  // default grain gives one block per chunk; 2100 rows give two, so the
-  // second block must start from the chunk's cleared mask and heaps.
-  static constexpr int64_t kSourceRows[] = {1, 31, 32, 33, 70, 2100};
-  // A dense config (many candidates per row) and a sparse one (rows
-  // with none).
+  // A dense LSH config (many candidates per row) and a sparse one (rows
+  // with none); exact search ignores them.
   static constexpr LshOptions kConfigs[] = {
       {.num_tables = 6, .bits_per_table = 6, .probe_radius = 1, .seed = 17},
       {.num_tables = 2, .bits_per_table = 32, .probe_radius = 0, .seed = 19},
@@ -552,110 +650,54 @@ class LshTopKOracleTest : public testing::Test {
   int saved_threads_ = 1;
 };
 
-TEST_F(LshTopKOracleTest, InMemoryKernelEqualsOracle) {
+TEST_P(TopKOracleTest, SearchEqualsOracle) {
   const Matrix target = TargetWithDuplicates(150, 12, 71);
-  // Column ids shifted by 3 and row ids interleaved, so both id maps
-  // are exercised.
-  std::vector<EntityId> col_ids(target.rows());
-  std::iota(col_ids.begin(), col_ids.end(), 3);
-  const int32_t out_cols = static_cast<int32_t>(target.rows()) + 3;
-  auto& registry = obs::MetricsRegistry::Get();
+  // Source row counts straddling the 32-row LSH block. Up to 2048 rows
+  // the default grain gives one block per chunk; 2100 rows give two, so
+  // the second block must start from the chunk's cleared mask and heaps.
+  const int64_t source_rows[] = {0, 1, 31, 32, 33, 70, 2100};
   int64_t ties = 0, empty_rows = 0;
   for (const LshOptions& options : kConfigs) {
-    const LshOracle oracle(target, options);
-    const LshIndex index(target, options);
     for (const SimMetric metric : {SimMetric::kManhattan, SimMetric::kDot}) {
-      const TopKOptions topk{.k = 4, .metric = metric};
-      for (const int64_t rows : kSourceRows) {
-        const Matrix source = QueriesNear(target, rows, 73 + rows);
-        std::vector<EntityId> row_ids(rows);
-        for (int64_t i = 0; i < rows; ++i) row_ids[i] = 2 * i + 1;
-        const int32_t out_rows = static_cast<int32_t>(2 * rows + 2);
-        int64_t want_scanned = 0;
-        const SparseSimMatrix want =
-            OracleTopK(source, row_ids, target, col_ids, out_rows, out_cols,
-                       oracle, topk, want_scanned, empty_rows);
-        ties += CountTies(want);
+      for (const int64_t rows : source_rows) {
         SCOPED_TRACE(testing::Message()
-                     << "bits=" << options.bits_per_table << " rows=" << rows);
-        ForEachThreadCount([&] {
-          SparseSimMatrix got(out_rows, out_cols, topk.k);
-          const int64_t scanned_before =
-              registry.GetCounter("topk.lsh.candidates_scanned").Value();
-          const int64_t queries_before =
-              registry.GetCounter("lsh.queries").Value();
-          LshTopKInto(source, row_ids, target, col_ids, index, topk, got);
-          ExpectSameEntries(want, got);
-          EXPECT_EQ(registry.GetCounter("topk.lsh.candidates_scanned").Value() -
-                        scanned_before,
-                    want_scanned);
-          EXPECT_EQ(registry.GetCounter("lsh.queries").Value() - queries_before,
-                    rows);
-        });
+                     << "bits=" << options.bits_per_table << " metric="
+                     << static_cast<int>(metric) << " rows=" << rows);
+        ExpectMatchesOracle(QueriesNear(target, rows, 73 + rows), target,
+                            options, TopKOptions{.k = 4, .metric = metric},
+                            ties, empty_rows);
       }
     }
   }
   EXPECT_GT(ties, 0);
-  EXPECT_GT(empty_rows, 0);
+  if (lsh()) {
+    EXPECT_GT(empty_rows, 0);
+  }
 }
 
-TEST_F(LshTopKOracleTest, StreamedKernelEqualsOracle) {
-  const Matrix target = TargetWithDuplicates(150, 12, 79);
-  stream::StreamOptions stream_options;
-  stream_options.memory_budget_mb = 1;
-  stream::TileStore store{stream::MemoryBudget(stream_options)};
-  stream::TileMatrix tiles(&store, target.rows(), target.cols(), 40);
-  for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
-    Matrix block(tiles.TileEnd(t) - tiles.TileBegin(t), target.cols());
-    for (int64_t r = 0; r < block.rows(); ++r) {
-      std::copy_n(target.Row(tiles.TileBegin(t) + r), target.cols(),
-                  block.Row(r));
-    }
-    tiles.Append(std::move(block));
-  }
-  std::vector<EntityId> col_ids(target.rows());
-  std::iota(col_ids.begin(), col_ids.end(), 0);
-  const int32_t out_cols = static_cast<int32_t>(target.rows());
-  auto& registry = obs::MetricsRegistry::Get();
-  int64_t empty_rows = 0;
-  for (const LshOptions& options : kConfigs) {
-    const LshOracle oracle(target, options);
-    // Incremental build, one tile at a time, as the streamed search does.
-    LshIndex index(static_cast<int32_t>(target.cols()), options);
-    for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
-      const std::shared_ptr<const Matrix> tile = tiles.Tile(t);
-      for (int64_t r = 0; r < tile->rows(); ++r) {
-        index.Insert(static_cast<int32_t>(tiles.TileBegin(t) + r),
-                     tile->Row(r));
-      }
-    }
-    index.FinishBuild();
-    const TopKOptions topk{.k = 4};
-    for (const int64_t rows : kSourceRows) {
-      const Matrix source = QueriesNear(target, rows, 83 + rows);
-      std::vector<EntityId> row_ids(rows);
-      std::iota(row_ids.begin(), row_ids.end(), 0);
-      int64_t want_scanned = 0;
-      const SparseSimMatrix want =
-          OracleTopK(source, row_ids, target, col_ids,
-                     static_cast<int32_t>(rows), out_cols, oracle, topk,
-                     want_scanned, empty_rows);
-      SCOPED_TRACE(testing::Message()
-                   << "bits=" << options.bits_per_table << " rows=" << rows);
-      ForEachThreadCount([&] {
-        SparseSimMatrix got(static_cast<int32_t>(rows), out_cols, topk.k);
-        const int64_t scanned_before =
-            registry.GetCounter("topk.lsh.candidates_scanned").Value();
-        LshTopKStreamedInto(source, row_ids, tiles, index, topk, got);
-        ExpectSameEntries(want, got);
-        EXPECT_EQ(registry.GetCounter("topk.lsh.candidates_scanned").Value() -
-                      scanned_before,
-                  want_scanned);
-      });
-    }
-  }
-  EXPECT_GT(empty_rows, 0);
+TEST_P(TopKOracleTest, ZeroRowTargetYieldsNothing) {
+  const Matrix target(0, 12);
+  int64_t ties = 0, empty_rows = 0;
+  ExpectMatchesOracle(QueriesNear(TargetWithDuplicates(10, 12, 5), 33, 7),
+                      target, kConfigs[0], TopKOptions{.k = 4}, ties,
+                      empty_rows);
+  EXPECT_EQ(empty_rows, 33);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TopK, TopKOracleTest,
+    testing::Combine(testing::Values(SearchMethod::kExact, SearchMethod::kLsh),
+                     testing::Values(TargetLayout::kResident,
+                                     TargetLayout::kTiled),
+                     testing::Values(1, 2, 8)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == SearchMethod::kLsh
+                             ? "Lsh"
+                             : "Exact") +
+             (std::get<1>(info.param) == TargetLayout::kTiled ? "Tiled"
+                                                              : "Resident") +
+             std::to_string(std::get<2>(info.param)) + "Threads";
+    });
 
 }  // namespace
 }  // namespace largeea
