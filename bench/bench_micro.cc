@@ -31,17 +31,10 @@
 //     (bandwidth-bound vs imbalanced vs merge-serialised) from the JSON
 //     alone. The perf trajectory invokes it as
 //     `--mode=profile --json-out=BENCH_profile.json`;
-//   * --json-out=FILE --mode=tune — the autotune sweep (DESIGN.md §13):
-//     every tunable parameter's candidate list timed on representative
-//     shapes, one row per (param, candidate) with the winner flagged.
-//     --scale shrinks the shapes (CI uses a tiny scale) and --min-time
-//     sets the per-candidate timing window. --tune-out additionally
-//     persists the winners as a checksummed tuning file loadable via
-//     `largeea_cli --tune-file`. The perf trajectory invokes it as
-//     `--mode=tune --json-out=BENCH_tune.json`;
 //   * --json-out=FILE --mode=dag — the operator-DAG executor (DESIGN.md
 //     §14) on the full two-channel pipeline at one thread (the serial
-//     reference) and at the pool's thread count: wall clock for both
+//     reference), one node at a time on the full pool (nodes_serial),
+//     and at the pool's thread count: wall clock and peak for the three
 //     schedules, bit-identity of the fused matrix, per-node
 //     seconds/peaks from the scheduler, and the measured critical path
 //     (the wall-time floor at infinite concurrency). The perf
@@ -76,6 +69,8 @@
 #include "src/common/macros.h"
 #include "src/common/rng.h"
 #include "src/core/large_ea.h"
+#include "src/core/pipeline_fingerprint.h"
+#include "src/dag/pipeline_dag.h"
 #include "src/gen/benchmark_gen.h"
 #include "src/la/ops.h"
 #include "src/name/levenshtein.h"
@@ -84,6 +79,7 @@
 #include "src/nn/batch_graph.h"
 #include "src/nn/ea_model.h"
 #include "src/obs/profiler.h"
+#include "src/obs/trace.h"
 #include "src/par/parallel_for.h"
 #include "src/par/thread_pool.h"
 #include "src/partition/metis.h"
@@ -95,9 +91,8 @@
 #include "src/sim/sinkhorn.h"
 #include "src/sim/topk_search.h"
 #include "src/simd/simd.h"
+#include "src/stream/stream_context.h"
 #include "src/stream/tile_store.h"
-#include "src/tune/autotune.h"
-#include "src/tune/tune_table.h"
 
 namespace largeea {
 namespace {
@@ -465,50 +460,6 @@ int RunProfileSweep(const Flags& flags) {
 }
 
 // ---------------------------------------------------------------------
-// Autotune sweep (--mode=tune): tune::RunAutotune's candidate timings as
-// JSON rows, one per (param, candidate). candidate=0 is the analytic
-// default; `winner` marks the value RunAutotune would install. The pool
-// size is whatever --threads requests (0 = hardware), matching how the
-// CLI's --autotune runs.
-
-int RunTuneSweep(const Flags& flags) {
-  bench::BenchJson json(flags, "tune");
-  par::ThreadPool::Get().SetNumThreads(
-      static_cast<int32_t>(flags.GetInt("threads", 0)));
-  tune::AutotuneOptions options;
-  options.scale = flags.GetDouble("scale", 1.0);
-  options.min_seconds = flags.GetDouble("min-time", 0.05);
-  const tune::AutotuneResult result = tune::RunAutotune(options);
-
-  std::printf("%-22s %12s %14s %8s\n", "param", "candidate", "sec/iter",
-              "winner");
-  for (const tune::AutotuneRow& r : result.rows) {
-    std::printf("%-22s %12lld %14.6f %8s\n", r.param.c_str(),
-                static_cast<long long>(r.candidate), r.seconds,
-                r.winner ? "yes" : "");
-    bench::BenchJson::Row row;
-    row.Set("param", r.param)
-        .Set("candidate", r.candidate)
-        .Set("seconds", r.seconds)
-        .Set("winner", r.winner);
-    json.Add(std::move(row));
-  }
-  const std::string tune_out = flags.GetString("tune-out", "");
-  if (!tune_out.empty()) {
-    const Status saved = tune::SaveTuneFile(tune_out, result.winners);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "tune-out: %s\n",
-                   std::string(saved.message()).c_str());
-      return 1;
-    }
-    std::printf("winners -> %s\n", tune_out.c_str());
-  }
-  par::ThreadPool::Get().Shutdown();
-  json.Write();
-  return 0;
-}
-
-// ---------------------------------------------------------------------
 // SIMD backend matrix (--mode=backend): the same kernel on the same
 // inputs under every backend the CPU supports, at one thread, so the
 // rows isolate the ISA effect. The determinism contract (DESIGN.md §9)
@@ -743,14 +694,39 @@ int RunStreamSweep(const Flags& flags) {
 
 // ---------------------------------------------------------------------
 // DAG executor sweep (--mode=dag): the full two-channel pipeline run
-// through the operator-DAG scheduler at one thread (an exact serial
-// replay of the node order, the reference) and at the pool's thread
-// count on the same dataset. The value of the DAG is overlap (name
-// channel x structure partition), so the headline numbers are the two
-// wall clocks plus the node-level critical path — the floor the
-// schedule is converging towards. Every row reasserts the determinism
-// contract: the wide schedule's fused matrix must be bit-identical to
-// the one-thread reference.
+// through the operator-DAG scheduler three ways on the same dataset —
+// at one thread (an exact serial replay of the node order, the
+// reference), one node at a time on the full pool (nodes_serial), and
+// with the scheduler free to overlap nodes on the full pool (dag).
+// reference -> nodes_serial is what intra-node parallelism buys;
+// nodes_serial -> dag is what node overlap (name channel x structure
+// partition) buys, in time and in peak bytes. The node-level critical
+// path is the floor the overlapping schedule is converging towards.
+// Every row reasserts the determinism contract: each schedule's fused
+// matrix must be bit-identical to the one-thread reference.
+
+/// RunLargeEa with the scheduler held to one node at a time while the
+/// pool keeps its thread count.
+LargeEaResult RunOneNodeAtATime(const EaDataset& dataset,
+                                const LargeEaOptions& options) {
+  obs::Span span("bench/nodes_serial", obs::Span::kTrackMemory);
+  const stream::StreamOptions stream_options =
+      stream::ResolveStreamOptions(options.stream);
+  std::unique_ptr<stream::StreamContext> stream_ctx;
+  if (stream::StreamingEnabled(stream_options)) {
+    stream_ctx = std::make_unique<stream::StreamContext>(stream_options);
+  }
+  rt::CheckpointManager checkpoint =
+      MakePipelineCheckpointManager(dataset, options, "", false);
+  auto run = dag::RunLargeEaPipeline(dataset, options, checkpoint,
+                                     stream_ctx.get(),
+                                     /*max_concurrency=*/1, nullptr);
+  LARGEEA_CHECK(run.ok());
+  LargeEaResult result = std::move(run).value();
+  result.total_seconds = span.End();
+  result.peak_bytes = span.peak_bytes();
+  return result;
+}
 
 int RunDagSweep(const Flags& flags) {
   bench::BenchJson json(flags, "dag");
@@ -772,14 +748,18 @@ int RunDagSweep(const Flags& flags) {
   const uint64_t reference_hash = FusedMatrixHash(reference->fused);
 
   par::ThreadPool::Get().SetNumThreads(threads);
+  const LargeEaResult nodes_serial = RunOneNodeAtATime(dataset, options);
+  const bool serial_identical =
+      FusedMatrixHash(nodes_serial.fused) == reference_hash;
   auto dag = RunLargeEa(dataset, options);
   LARGEEA_CHECK(dag.ok());
   const bool identical = FusedMatrixHash(dag->fused) == reference_hash;
-  const double speedup = dag->total_seconds > 0.0
-                             ? reference->total_seconds / dag->total_seconds
-                             : 0.0;
+  const auto ratio = [](double num, double den) {
+    return den > 0.0 ? num / den : 0.0;
+  };
 
-  // "reference" is the one-thread replay; "dag" the pool-wide schedule.
+  // "reference" is the one-thread replay; "nodes_serial" one node at a
+  // time on the pool; "dag" the overlapping pool-wide schedule.
   const auto run_row = [](const char* name, int32_t run_threads,
                           const LargeEaResult& run, bool same) {
     std::printf("%-24s %10.3f %12s\n", name, run.total_seconds,
@@ -795,8 +775,18 @@ int RunDagSweep(const Flags& flags) {
   };
   std::printf("%-24s %10s %12s\n", "row", "seconds", "identical");
   json.Add(run_row("reference", 1, *reference, true));
+  bench::BenchJson::Row serial =
+      run_row("nodes_serial", threads, nodes_serial, serial_identical);
+  serial.Set("speedup",
+             ratio(reference->total_seconds, nodes_serial.total_seconds));
+  json.Add(std::move(serial));
+  // overlap_speedup and overlap_peak_bytes isolate what running nodes
+  // concurrently buys and costs over the nodes_serial row.
   bench::BenchJson::Row wide = run_row("dag", threads, *dag, identical);
-  wide.Set("speedup", speedup);
+  wide.Set("speedup", ratio(reference->total_seconds, dag->total_seconds))
+      .Set("overlap_speedup",
+           ratio(nodes_serial.total_seconds, dag->total_seconds))
+      .Set("overlap_peak_bytes", dag->peak_bytes - nodes_serial.peak_bytes);
   json.Add(std::move(wide));
   for (const DagNodeStats& node : dag->dag_nodes) {
     std::printf("%-24s %10.3f %12s\n", ("node:" + node.name).c_str(),
@@ -823,7 +813,7 @@ int RunDagSweep(const Flags& flags) {
         .Set("path", path);
     json.Add(std::move(row));
   }
-  LARGEEA_CHECK(identical);
+  LARGEEA_CHECK(serial_identical && identical);
   par::ThreadPool::Get().Shutdown();
   json.Write();
   return 0;
@@ -1150,7 +1140,6 @@ int main(int argc, char** argv) {
     if (mode == "stream") return largeea::RunStreamSweep(flags);
     if (mode == "dag") return largeea::RunDagSweep(flags);
     if (mode == "profile") return largeea::RunProfileSweep(flags);
-    if (mode == "tune") return largeea::RunTuneSweep(flags);
     if (mode == "serve") return largeea::RunServeSweep(flags);
     return largeea::RunKernelScaling(flags);
   }

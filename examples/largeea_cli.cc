@@ -40,6 +40,10 @@
 //   largeea_cli partition   --source A.tsv --target B.tsv --seeds S.tsv
 //                           [--batches K]
 //       reports METIS-CPS vs VPS partition quality
+//
+// A flag that is neither a Config flag nor one the command reads
+// (LocalFlags below) exits 2, like an unknown command.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -48,6 +52,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -78,7 +83,6 @@
 #include "src/shard/orchestrator.h"
 #include "src/shard/worker.h"
 #include "src/simd/simd.h"
-#include "src/tune/tune_table.h"
 
 using namespace largeea;
 
@@ -688,6 +692,41 @@ int CmdPartition(const Flags& flags, const Config& config) {
   return 0;
 }
 
+// The binary-local flags each command reads besides the Config flags;
+// null for an unknown command.
+const std::vector<std::string>* LocalFlags(const std::string& command) {
+  static const auto* const kLocal =
+      new std::map<std::string, std::vector<std::string>>{
+          {"generate", {"tier", "pair", "scale", "out_dir"}},
+          {"run", {"source", "target", "seeds", "test"}},
+          {"index-build",
+           {"source", "target", "seeds", "test", "index-out",
+            "hnsw-neighbors", "ef-construction", "ef-search"}},
+          {"serve", {"index", "expect-fingerprint", "serve-batch", "k"}},
+          {"query",
+           {"index", "expect-fingerprint", "entity", "name", "k", "exact"}},
+          {"partition", {"source", "target", "seeds", "test", "batches"}},
+      };
+  const auto it = kLocal->find(command);
+  return it == kLocal->end() ? nullptr : &it->second;
+}
+
+// The first flag that is neither a Config flag nor local to `command`,
+// or empty. A typo or a removed option must fail, not run the default.
+std::string FirstUnknownFlag(const std::vector<std::string>& local,
+                             const Flags& flags) {
+  Config config;
+  FlagRegistry registry;
+  config.Register(registry);
+  for (const std::string& name : flags.Names()) {
+    if (!registry.Knows(name) &&
+        std::find(local.begin(), local.end(), name) == local.end()) {
+      return name;
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -709,6 +748,17 @@ int main(int argc, char** argv) {
     return 0;
   }
   const Flags flags(argc - 1, argv + 1);
+  const std::vector<std::string>* local = LocalFlags(command);
+  if (local == nullptr) {
+    std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+    return 2;
+  }
+  if (const std::string unknown = FirstUnknownFlag(*local, flags);
+      !unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s for '%s'\n",
+                 unknown.c_str(), command.c_str());
+    return 2;
+  }
   // All commands share one configuration surface: every pipeline,
   // runtime, and I/O knob parses through largeea::Config exactly once.
   // Binary-local inputs (--source, --tier, ...) stay on `flags`.
@@ -723,13 +773,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", runtime.ToString().c_str());
     return 2;
   }
-  // ApplyRuntime installed the tune table (analytic defaults layered
-  // with --tune-file / --tune-override, then --autotune winners); echo
-  // the effective state whenever the user asked for anything non-default.
-  if (config->autotune || !config->tune_file.empty() ||
-      !config->tune_override.empty()) {
-    std::printf("%s\n", tune::TuneTable::Get().Describe().c_str());
-  }
   // Deterministic chaos testing: LARGEEA_FAULTS (gated per shard by
   // LARGEEA_FAULTS_SHARD) arms named fault points in this process.
   (void)rt::ArmFaultsFromEnv(config->shard_worker);
@@ -742,7 +785,5 @@ int main(int argc, char** argv) {
   }
   if (command == "serve") return CmdServe(flags, *config);
   if (command == "query") return CmdQuery(flags, *config);
-  if (command == "partition") return CmdPartition(flags, *config);
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  return 2;
+  return CmdPartition(flags, *config);
 }

@@ -131,7 +131,7 @@ struct PoolKernelTotal {
   double merge_seconds = 0.0;
   double max_imbalance = 1.0;  ///< worst job's worker max/mean ratio
   double max_chunk_cov = 0.0;  ///< worst job's per-chunk time CoV
-  int64_t last_grain = 0;      ///< grain of the most recent job (tuned)
+  int64_t last_grain = 0;      ///< grain of the most recent job
 
   double Utilization() const {
     return capacity_seconds > 0.0 ? busy_seconds / capacity_seconds : 0.0;

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 
-#include "src/tune/tune_table.h"
-
 namespace largeea::par {
+namespace {
+
+// ParallelFor's chunk cap, per pool thread.
+constexpr int64_t kChunksPerThread = 16;
+
+}  // namespace
 
 std::vector<ChunkRange> ComputeChunks(int64_t begin, int64_t end,
                                       int64_t grain) {
@@ -69,7 +73,7 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   // cut per-chunk scheduling overhead. Reductions are NEVER capped this
   // way: their merge order is part of the §8 determinism contract.
   const int64_t max_chunks =
-      tune::TuneTable::Get().ChunksPerThread() *
+      kChunksPerThread *
       static_cast<int64_t>(std::max(1, ThreadPool::Get().num_threads()));
   const std::vector<ChunkRange> chunks =
       ComputeChunksCapped(begin, end, grain, max_chunks);

@@ -1,15 +1,16 @@
 #include "src/sim/similarity_search.h"
 
+#include <algorithm>
 #include <ranges>
 #include <utility>
 #include <vector>
 
 #include "src/common/macros.h"
 #include "src/obs/trace.h"
+#include "src/par/grain.h"
 #include "src/par/parallel_for.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
-#include "src/tune/tune_table.h"
 
 namespace largeea {
 namespace {
@@ -25,8 +26,9 @@ struct TiledTarget {
 
   /// The single-query scan: scores `query` against target rows `rows`
   /// (ascending) on the calling thread and writes the top k as
-  /// {entity id, score} in deterministic order. Tile pins are
-  /// thread-safe, so concurrent callers need no lock.
+  /// {entity id, score}, kept and ordered by column id on ties exactly
+  /// like a SearchInto row. Tile pins are thread-safe, so concurrent
+  /// callers need no lock.
   template <typename Rows>
   void QueryRows(std::span<const float> query, int32_t k, SimMetric metric,
                  const Rows& rows, std::vector<SimEntry>& out) const {
@@ -35,14 +37,14 @@ struct TiledTarget {
     stream::TileRowCursor cursor(tiles);
     TopKHeap heap(k);
     for (const int32_t j : rows) {
-      heap.Offer(j, ScorePair(kt, query.data(), cursor.Row(j), tiles.cols(),
-                              metric));
+      heap.Offer(col_ids[j], ScorePair(kt, query.data(), cursor.Row(j),
+                                       tiles.cols(), metric));
     }
     std::vector<std::pair<float, int32_t>> drained;
     heap.Drain(drained);
     out.clear();
     out.reserve(drained.size());
-    for (const auto& [score, j] : drained) out.push_back({col_ids[j], score});
+    for (const auto& [score, column] : drained) out.push_back({column, score});
   }
 
   stream::TileMatrix tiles;
@@ -152,8 +154,7 @@ class HnswSearch : public SimilaritySearch {
     // Each source row is an independent graph walk, so the batch path
     // is a parallel loop of single queries with direct scatter — same
     // disjoint-rows argument as ExactTopKInto.
-    const int64_t row_grain =
-        tune::TuneTable::Get().TopKRowGrain(source.rows());
+    const int64_t row_grain = par::TopKRowGrain(source.rows());
     par::ParallelFor(
         0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
           std::vector<std::pair<float, int32_t>> drained;
@@ -176,6 +177,8 @@ class HnswSearch : public SimilaritySearch {
     for (const auto& [score, j] : drained) {
       out.push_back({col_ids_[j], score});
     }
+    // The graph ranks target rows; a SearchInto row ranks column ids.
+    std::sort(out.begin(), out.end(), EntryBefore);
   }
 
  private:

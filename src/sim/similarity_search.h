@@ -64,10 +64,11 @@ class SimilaritySearch {
                           SparseSimMatrix& out) const = 0;
 
   /// Answers one query vector (length = target dim) with the top-k
-  /// target entries in deterministic (score desc, id asc) order,
-  /// writing {column entity id, exact score} pairs into `out` (cleared
-  /// first). Runs entirely on the calling thread — no pool fan-out — so
-  /// concurrent callers scale with their own thread count.
+  /// target entries, writing {column entity id, exact score} pairs into
+  /// `out` (cleared first) in the order of a SearchInto row: score
+  /// descending, then column id ascending. Runs entirely on the
+  /// calling thread — no pool fan-out — so concurrent callers scale
+  /// with their own thread count.
   virtual void QueryTopK(std::span<const float> query, int32_t k,
                          std::vector<SimEntry>& out) const = 0;
 };

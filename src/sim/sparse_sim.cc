@@ -5,12 +5,13 @@
 #include "src/common/macros.h"
 
 namespace largeea {
-namespace {
 
 bool EntryBefore(const SimEntry& a, const SimEntry& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.column < b.column;
 }
+
+namespace {
 
 // Shared row merge of Fuse and FuseStreamed — one implementation, so the
 // streamed result is bit-identical to the in-memory one by construction.

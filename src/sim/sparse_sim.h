@@ -23,6 +23,9 @@ struct SimEntry {
   float score = 0.0f;
 };
 
+/// Row order: descending score, ties broken by ascending column id.
+bool EntryBefore(const SimEntry& a, const SimEntry& b);
+
 /// Row-sparse similarity matrix. Rows index source entities, columns index
 /// target entities. Each row holds at most `max_entries_per_row` entries,
 /// kept sorted by descending score (ties broken by ascending column id so

@@ -12,21 +12,20 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
+#include "src/par/grain.h"
 #include "src/par/parallel_for.h"
 #include "src/sim/lsh.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
 #include "src/stream/tile_store.h"
-#include "src/tune/tune_table.h"
 
 namespace largeea {
 
-// Source rows per parallel chunk come from the tune table. The scatter
-// below writes each result straight into its own SparseSimMatrix row
-// from the parallel body, so the output is a pure per-row function of
-// the inputs — any grain (and any thread count) produces identical
-// bytes, which is what makes this parameter freely tunable and lets
-// the kernels run with no merge tail at all.
+// Source rows per parallel chunk come from par::TopKRowGrain. The
+// scatter below writes each result straight into its own SparseSimMatrix
+// row from the parallel body, so the output is a pure per-row function
+// of the inputs — any grain (and any thread count) produces identical
+// bytes, and the kernels run with no merge tail at all.
 //
 // ScorePair and TopKHeap live in src/sim/topk_util.h so the
 // single-query path (QueryTopK, HNSW, serving) keeps byte-identical
@@ -57,8 +56,7 @@ void ExactTopKInto(const MatrixRowRange& source,
   // happens in the body and the former serial result-merge tail is
   // gone. Per-row entry order (heap drain order) is unchanged, so the
   // output bytes match the merged version exactly.
-  const int64_t row_grain =
-      tune::TuneTable::Get().TopKRowGrain(source.rows());
+  const int64_t row_grain = par::TopKRowGrain(source.rows());
   par::ParallelFor(
       0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
         TopKHeap heap(options.k);
@@ -71,13 +69,12 @@ void ExactTopKInto(const MatrixRowRange& source,
           heap.Clear();
           const float* src = source.Row(i);
           for (int64_t j = 0; j < target.rows(); ++j) {
-            heap.Offer(
-                static_cast<int32_t>(j),
-                ScorePair(kt, src, target.Row(j), dim, options.metric));
+            heap.Offer(col_ids[j], ScorePair(kt, src, target.Row(j), dim,
+                                             options.metric));
           }
           heap.Drain(drained);
-          for (const auto& [score, j] : drained) {
-            out.Accumulate(row_ids[i], col_ids[j], score);
+          for (const auto& [score, column] : drained) {
+            out.Accumulate(row_ids[i], column, score);
           }
         }
       });
@@ -145,8 +142,8 @@ void LshTopKInto(const MatrixRowRange& source,
   // output, only how many full blocks there are.
   std::atomic<int64_t> candidates_total{0};
   const int64_t row_grain =
-      (tune::TuneTable::Get().TopKRowGrain(source.rows()) + kBlockRows - 1) /
-      kBlockRows * kBlockRows;
+      (par::TopKRowGrain(source.rows()) + kBlockRows - 1) / kBlockRows *
+      kBlockRows;
   par::ParallelFor(
       0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
         // Chunk-private cursor: it holds the pin of the tile it read last.
@@ -174,16 +171,17 @@ void LshTopKInto(const MatrixRowRange& source,
             mask[j] = 0;
             candidates_scanned += std::popcount(marked);
             const float* tgt = targets.Row(j);
+            const EntityId column = col_ids[j];
             for (; marked != 0; marked &= marked - 1) {
               const int b = std::countr_zero(marked);
-              heaps[b].Offer(j, ScorePair(kt, src[b], tgt, dim,
-                                          options.metric));
+              heaps[b].Offer(column, ScorePair(kt, src[b], tgt, dim,
+                                               options.metric));
             }
           }
           for (int32_t b = 0; b < n; ++b) {
             heaps[b].Drain(drained);  // leaves the heap empty
-            for (const auto& [score, j] : drained) {
-              out.Accumulate(row_ids[begin + b], col_ids[j], score);
+            for (const auto& [score, column] : drained) {
+              out.Accumulate(row_ids[begin + b], column, score);
             }
           }
         }

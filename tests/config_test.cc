@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -164,6 +165,11 @@ TEST(FlagRegistryTest, KnowsAndHelpCoverEveryBinding) {
   // The operator DAG is the only executor; there is no switch for it.
   EXPECT_FALSE(registry.Knows("dag"));
   EXPECT_FALSE(registry.Knows("no-dag"));
+  // Kernel grains are shape functions; nothing tunes them at run time.
+  for (const char* removed : {"autotune", "tune-file", "tune-override",
+                              "autotune-scale", "autotune-min-time"}) {
+    EXPECT_FALSE(registry.Knows(removed)) << removed;
+  }
   const std::string help = ConfigHelp();
   for (const auto& [name, value] : registry.Values()) {
     EXPECT_NE(help.find("--" + name), std::string::npos) << name;
@@ -171,27 +177,47 @@ TEST(FlagRegistryTest, KnowsAndHelpCoverEveryBinding) {
 }
 
 #ifdef LARGEEA_CLI_BIN
-// `run` is the only spelling of the pipeline command: `align` and a bare
-// flag list are rejected like any other unknown command.
-TEST(CliTest, RemovedRunSpellingsAreUnknownCommands) {
+/// Runs largeea_cli with `args`; returns its exit code and output.
+std::pair<int, std::string> RunCli(const std::vector<std::string>& args) {
   const std::string log =
       (std::filesystem::temp_directory_path() / "largeea_cli_spelling.log")
           .string();
+  std::vector<std::string> argv = {LARGEEA_CLI_BIN};
+  argv.insert(argv.end(), args.begin(), args.end());
+  auto pid = shard::SpawnProcess(argv, {}, log);
+  EXPECT_TRUE(pid.ok()) << pid.status().ToString();
+  if (!pid.ok()) return {-1, ""};
+  const shard::ProcessStatus status = shard::WaitProcess(*pid);
+  EXPECT_EQ(status.state, shard::ProcessStatus::State::kExited);
+  const auto output = rt::ReadFileToString(log);
+  std::filesystem::remove(log);
+  return {status.exit_code, output.ok() ? *output : ""};
+}
+
+// `run` is the only spelling of the pipeline command: `align` and a bare
+// flag list are rejected like any other unknown command.
+TEST(CliTest, RemovedRunSpellingsAreUnknownCommands) {
   for (const std::string& first : {std::string("align"),
                                    std::string("--source=a.tsv")}) {
     SCOPED_TRACE(first);
-    auto pid = shard::SpawnProcess(
-        {LARGEEA_CLI_BIN, first, "--target=b.tsv", "--log-level=off"}, {},
-        log);
-    ASSERT_TRUE(pid.ok()) << pid.status().ToString();
-    const shard::ProcessStatus status = shard::WaitProcess(*pid);
-    EXPECT_EQ(status.state, shard::ProcessStatus::State::kExited);
-    EXPECT_EQ(status.exit_code, 2);
-    const auto output = rt::ReadFileToString(log);
-    ASSERT_TRUE(output.ok());
-    EXPECT_NE(output->find("unknown command"), std::string::npos) << *output;
+    const auto [code, output] =
+        RunCli({first, "--target=b.tsv", "--log-level=off"});
+    EXPECT_EQ(code, 2);
+    EXPECT_NE(output.find("unknown command"), std::string::npos) << output;
   }
-  std::filesystem::remove(log);
+  // The kernel-tuning flags are gone: `run` rejects them before it reads
+  // any input, like any other unknown flag.
+  for (const std::string& removed :
+       {std::string("--autotune"), std::string("--tune-file=t.json"),
+        std::string("--tune-override=gemm.row_grain=64"),
+        std::string("--autotune-scale=0.5"),
+        std::string("--autotune-min-time=0.01")}) {
+    SCOPED_TRACE(removed);
+    const auto [code, output] =
+        RunCli({"run", "--source=a.tsv", "--target=b.tsv", removed});
+    EXPECT_EQ(code, 2);
+    EXPECT_NE(output.find("unknown flag"), std::string::npos) << output;
+  }
 }
 #endif  // LARGEEA_CLI_BIN
 

@@ -468,7 +468,8 @@ TEST(LshTest, QueryEqualsBruteForceOracle) {
 
 // The oracle's top-k: each row's candidates (every target row for exact
 // search, the brute-force LSH oracle's for LSH) scored with ScorePair and
-// kept by TopKHeap, scattered through the same id maps.
+// kept by TopKHeap on their column ids, so boundary ties keep the smaller
+// column id whatever order col_ids run in.
 SparseSimMatrix OracleTopK(const Matrix& source,
                            std::span<const EntityId> row_ids,
                            const Matrix& target,
@@ -492,12 +493,12 @@ SparseSimMatrix OracleTopK(const Matrix& source,
     scanned += static_cast<int64_t>(candidates.size());
     if (candidates.empty()) ++empty_rows;
     for (const int32_t j : candidates) {
-      heap.Offer(j, ScorePair(kt, source.Row(i), target.Row(j),
-                              source.cols(), options.metric));
+      heap.Offer(col_ids[j], ScorePair(kt, source.Row(i), target.Row(j),
+                                       source.cols(), options.metric));
     }
     heap.Drain(drained);
-    for (const auto& [score, j] : drained) {
-      out.Accumulate(row_ids[i], col_ids[j], score);
+    for (const auto& [score, column] : drained) {
+      out.Accumulate(row_ids[i], column, score);
     }
   }
   return out;
@@ -538,8 +539,10 @@ enum class TargetLayout { kResident, kTiled };
 // SimilaritySearch implementation per method: exact or LSH, over a
 // resident target or one tiled through a real TileStore (150 rows in
 // tiles of 40, so the last tile is short, each spilled to disk), at 1, 2
-// and 8 threads. Column ids are non-identity (ascending, gapped) and row
-// ids interleaved, as in the structure channel's local-to-global maps.
+// and 8 threads. Column ids are non-identity (gapped, ascending as in the
+// structure channel's local-to-global maps, or descending so that the
+// target-row order of tied scores differs from the column order) and row
+// ids interleaved.
 class TopKOracleTest
     : public testing::TestWithParam<
           std::tuple<SearchMethod, TargetLayout, int>> {
@@ -575,16 +578,19 @@ class TopKOracleTest
 
   // Searches `source` against `target` and compares SearchInto, the
   // scanned-candidate counter and QueryTopK with the oracle's top-k.
+  // QueryTopK answers must equal the batch rows entry for entry, tied
+  // scores included, whichever way the column ids run.
   void ExpectMatchesOracle(const Matrix& source, const Matrix& target,
                            const LshOptions& lsh_options,
                            const TopKOptions& topk, int64_t& ties,
-                           int64_t& empty_rows) {
+                           int64_t& empty_rows,
+                           bool descending_cols = false) {
     const int64_t rows = source.rows();
     std::vector<EntityId> row_ids(rows);
     for (int64_t i = 0; i < rows; ++i) row_ids[i] = 2 * i + 1;
     std::vector<EntityId> col_ids(target.rows());
     for (int64_t j = 0; j < target.rows(); ++j) {
-      col_ids[j] = 2 * j + 3;
+      col_ids[j] = 2 * (descending_cols ? target.rows() - 1 - j : j) + 3;
     }
     const int32_t out_rows = static_cast<int32_t>(2 * rows + 2);
     const int32_t out_cols = static_cast<int32_t>(2 * target.rows() + 3);
@@ -660,12 +666,15 @@ TEST_P(TopKOracleTest, SearchEqualsOracle) {
   for (const LshOptions& options : kConfigs) {
     for (const SimMetric metric : {SimMetric::kManhattan, SimMetric::kDot}) {
       for (const int64_t rows : source_rows) {
-        SCOPED_TRACE(testing::Message()
-                     << "bits=" << options.bits_per_table << " metric="
-                     << static_cast<int>(metric) << " rows=" << rows);
-        ExpectMatchesOracle(QueriesNear(target, rows, 73 + rows), target,
-                            options, TopKOptions{.k = 4, .metric = metric},
-                            ties, empty_rows);
+        for (const bool descending_cols : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "bits=" << options.bits_per_table << " metric="
+                       << static_cast<int>(metric) << " rows=" << rows
+                       << " descending_cols=" << descending_cols);
+          ExpectMatchesOracle(QueriesNear(target, rows, 73 + rows), target,
+                              options, TopKOptions{.k = 4, .metric = metric},
+                              ties, empty_rows, descending_cols);
+        }
       }
     }
   }

@@ -11,11 +11,10 @@ key columns, so a re-ordered or extended sweep still gates correctly:
     simd    -> (kernel, backend)      on items_per_sec
     profile -> (kernel, threads)      on items_per_sec
                                       + utilization / imbalance_ratio
-    tune    -> (param, candidate)     schema-checked only (timings of
-                                      autotune candidates, no gate)
-    dag     -> (row,)                 schema-checked only (DAG at one
-                                      thread vs all threads, node
-                                      timings)
+    dag     -> (row,)                 schema-checked only: the
+                                      reference, nodes_serial and dag
+                                      rows must all be present and
+                                      bit-identical; node timings
     serve   -> (targets, path)        on items_per_sec (QPS)
                                       + recall_at_k on name_ann rows
 
@@ -54,7 +53,6 @@ KEY_COLUMNS = {
     "simd": ("kernel", "backend"),
     "profile": ("kernel", "threads"),
     "stream": ("budget_mb",),
-    "tune": ("param", "candidate"),
     "dag": ("row",),
     "serve": ("targets", "path"),
 }
@@ -78,6 +76,12 @@ QUALITY_METRICS = {
     "serve": (
         ("recall_at_k", "higher", 0.02),
     ),
+}
+
+# Rows a bench must carry, each with identical == true: the DAG sweep's
+# three schedules are only comparable if they produced the same bits.
+REQUIRED_IDENTICAL_ROWS = {
+    "dag": ("reference", "nodes_serial", "dag"),
 }
 
 DEFAULT_TOLERANCE = 0.15
@@ -129,6 +133,13 @@ def check_file(path):
             if column in row and not row[column] > 0:
                 raise ValueError(
                     f"{path}: row {key} has non-positive {column}")
+    rows = {row_key(bench, r, path): r for r in doc["rows"]}
+    for name in REQUIRED_IDENTICAL_ROWS.get(bench, ()):
+        row = rows.get((name,))
+        if row is None:
+            raise ValueError(f"{path}: missing required row '{name}'")
+        if row.get("identical") is not True:
+            raise ValueError(f"{path}: row '{name}' is not bit-identical")
     print(f"bench_gate: {path}: ok ({bench}, {len(seen)} rows)")
 
 

@@ -14,15 +14,13 @@
 #     recording peak/seconds and that the fused matrix stayed
 #     bit-identical (bench_micro --mode=stream --json-out,
 #     DESIGN.md §10). STREAM_SCALE tunes the dataset size;
-#   * BENCH_tune.json — the autotune candidate sweep (bench_micro
-#     --mode=tune --json-out, DESIGN.md §13): one row per
-#     (param, candidate) with the winner flagged. TUNE_SCALE shrinks
-#     the sweep shapes;
 #   * BENCH_dag.json — the operator-DAG executor on the full pipeline
-#     at one thread (the serial reference) and at the pool's thread
-#     count (bench_micro --mode=dag --json-out, DESIGN.md §14): both
-#     wall clocks, per-node timings, and the node-level critical path,
-#     with bit-identity asserted. DAG_SCALE tunes the dataset;
+#     at one thread (the serial reference), one node at a time on the
+#     full pool (nodes_serial), and at the pool's thread count
+#     (bench_micro --mode=dag --json-out, DESIGN.md §14): the three
+#     wall clocks and peaks, per-node timings, and the node-level
+#     critical path, with bit-identity asserted. DAG_SCALE tunes the
+#     dataset;
 #   * BENCH_serve.json — single-query latency/QPS of the serving layer
 #     (bench_micro --mode=serve --json-out, DESIGN.md §15): per index
 #     size, the entity path, the ANN name path, and the exact-scan name
@@ -63,7 +61,6 @@ MIN_TIME="${MIN_TIME:-0.3}"
 THREADS_LIST="${THREADS_LIST:-1,2,4,8}"
 BUILD_DIR="${BUILD_DIR:-build}"
 STREAM_SCALE="${STREAM_SCALE:-0.2}"
-TUNE_SCALE="${TUNE_SCALE:-1.0}"
 DAG_SCALE="${DAG_SCALE:-0.2}"
 SERVE_TARGETS="${SERVE_TARGETS:-2000,8000,32000,256000}"
 GATE_TOLERANCE="${GATE_TOLERANCE:-0.15}"
@@ -100,8 +97,8 @@ esac
 
 if [[ "${MODE}" == "gate-check" ]]; then
   exec python3 tools/bench_gate.py --check \
-    BENCH_par.json BENCH_simd.json BENCH_profile.json BENCH_tune.json \
-    BENCH_dag.json BENCH_serve.json
+    BENCH_par.json BENCH_simd.json BENCH_profile.json BENCH_dag.json \
+    BENCH_serve.json
 fi
 
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -161,11 +158,6 @@ echo "=== profile sweep ==="
 echo "=== streaming budget sweep ==="
 "${BUILD_DIR}/bench/bench_micro" --mode=stream \
   --json-out="${OUT_DIR}/BENCH_stream.json" --scale="${STREAM_SCALE}"
-
-echo "=== autotune candidate sweep ==="
-"${BUILD_DIR}/bench/bench_micro" --mode=tune \
-  --json-out="${OUT_DIR}/BENCH_tune.json" --scale="${TUNE_SCALE}" \
-  --min-time="${MIN_TIME}"
 
 echo "=== DAG executor sweep ==="
 "${BUILD_DIR}/bench/bench_micro" --mode=dag \
